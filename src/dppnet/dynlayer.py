@@ -2,18 +2,23 @@
 
 Forward maps input features through a weight matrix that is never stored:
 entry (m, n) is candidates[bucket(m, n)] * sign(m, n), where the candidate
-vector comes from the question encoder.  Forward and backward stream over
-output rows, so peak memory stays O(batch * (in + candidates)) no matter how
-large out_dim * in_dim grows.  materialize_weights exists only as a test and
-diagnostic oracle.
+vector comes from the question encoder.  Forward and backward walk the
+batch x out_dim plane in blocks of at most hashing.BLOCK_BUDGET gathered
+weights (at least one output row for the whole batch), so transient memory
+stays O(BLOCK_BUDGET + batch * (in + out + candidates)) however large
+out_dim * in_dim grows.  A grid of at most hashing.CACHE_LIMIT entries is
+hashed once per HashSpec and kept read-only (up to hashing.CACHE_SPECS specs);
+a larger grid is hashed block by block on every call.  materialize_weights
+exists only as a test and diagnostic oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import hashing
 from .errors import ShapeError
-from .hashing import HashSpec, bucket_row, sign_row
+from .hashing import HashSpec
 
 MATERIALIZE_LIMIT = 1 << 20
 
@@ -32,6 +37,52 @@ def _as_batch(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _tiles(spec: HashSpec, batch: int):
+    """Yield (batch rows, lo, hi, buckets, signs) blocks covering batch x out_dim.
+
+    A cached grid is taken whole and the batch split to fit the budget, so a
+    batch row's bucket sums come from one block and need no carry.  A larger
+    grid is split over output rows for the whole batch, so each of its hash
+    blocks is computed once per call.
+    """
+    grid = spec.out_dim * spec.in_dim
+    width = batch if grid > hashing.CACHE_LIMIT else hashing.BLOCK_BUDGET // grid
+    width = max(1, min(batch, width))
+    for b0 in range(0, batch, width):
+        rows = slice(b0, b0 + width)
+        for block in hashing.row_blocks(spec, width):
+            yield (rows, *block)
+
+
+def _weights(p: np.ndarray, buckets: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Signed weights of one block, (batch, rows, in_dim), gathered from p."""
+    w = np.take(p, buckets, axis=1)
+    w *= signs
+    return w
+
+
+def _bucket_sums(x, dm, buckets, signs, k: int, carry) -> np.ndarray:
+    """d_candidates of one block: sign * x * delta summed per (batch row, bucket).
+
+    One bincount adds the terms in row-major (m, n) order per batch row after
+    the carried sums of earlier rows, if any, so the result equals sequential
+    accumulation over the whole grid bit for bit.
+    """
+    nb = len(dm)
+    shape = (nb, *buckets.shape)
+    head = 0 if carry is None else nb * k
+    keys = np.empty(head + nb * buckets.size, dtype=np.int64)
+    vals = np.empty(len(keys))  # bincount sums in f64 whatever the input
+    if carry is not None:
+        keys[:head] = np.arange(head)
+        vals[:head] = carry.ravel()
+    np.add(np.arange(0, nb * k, k)[:, None, None], buckets, out=keys[head:].reshape(shape))
+    terms = vals[head:].reshape(shape)
+    np.multiply(x[:, None, :], dm[:, :, None], out=terms)
+    terms *= signs
+    return np.bincount(keys, vals, minlength=nb * k).reshape(nb, k)
+
+
 def dyn_forward(features, candidates, bias: np.ndarray, spec: HashSpec) -> np.ndarray:
     """Apply the question-conditioned affine map: hashed weights, static bias."""
     x, single_x = _as_batch(features, spec.in_dim, "input features")
@@ -43,10 +94,9 @@ def dyn_forward(features, candidates, bias: np.ndarray, spec: HashSpec) -> np.nd
     if bias.shape != (spec.out_dim,):
         raise ShapeError(f"bias shape {bias.shape} != ({spec.out_dim},)")
     out = np.empty((x.shape[0], spec.out_dim), dtype=x.dtype)
-    for m in range(spec.out_dim):
-        idx = bucket_row(m, spec)
-        sg = sign_row(m, spec)
-        out[:, m] = ((p[:, idx] * sg) * x).sum(axis=1) + bias[m]
+    for rows, lo, hi, buckets, signs in _tiles(spec, x.shape[0]):
+        out[rows, lo:hi] = np.einsum("bmn,bn->bm", _weights(p[rows], buckets, signs), x[rows])
+    out += bias
     return out[0] if (single_x and single_p) else out
 
 
@@ -66,14 +116,14 @@ def dyn_backward(features, candidates, d_out, spec: HashSpec):
             f"batch mismatch: features {b}, candidates {p.shape[0]}, output grad {d.shape[0]}"
         )
     dx = np.zeros_like(x)
-    dp = np.zeros_like(p)
-    rows = np.arange(b)[:, None]
-    for m in range(spec.out_dim):
-        idx = bucket_row(m, spec)
-        sg = sign_row(m, spec)
-        dm = d[:, m : m + 1]
-        dx += (p[:, idx] * sg) * dm
-        np.add.at(dp, (rows, idx[None, :]), (x * dm) * sg)
+    dp = np.zeros(p.shape)
+    for rows, lo, hi, buckets, signs in _tiles(spec, b):
+        dm = d[rows, lo:hi]
+        dx[rows] += np.einsum("bmn,bm->bn", _weights(p[rows], buckets, signs), dm)
+        dp[rows] = _bucket_sums(
+            x[rows], dm, buckets, signs, spec.num_candidates, dp[rows] if lo else None
+        )
+    dp = dp.astype(p.dtype, copy=False)
     db = d.sum(axis=0)
     if single_x and single_p and single_d:
         return dx[0], dp[0], db
@@ -94,6 +144,6 @@ def materialize_weights(candidates: np.ndarray, spec: HashSpec) -> np.ndarray:
     if p.shape != (spec.num_candidates,):
         raise ShapeError(f"candidate shape {p.shape} != ({spec.num_candidates},)")
     w = np.empty((spec.out_dim, spec.in_dim), dtype=p.dtype)
-    for m in range(spec.out_dim):
-        w[m] = p[bucket_row(m, spec)] * sign_row(m, spec)
+    for lo, hi, buckets, signs in hashing.row_blocks(spec):
+        w[lo:hi] = p[buckets] * signs
     return w

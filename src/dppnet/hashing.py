@@ -87,33 +87,78 @@ def sign(m: int, n: int, spec: HashSpec) -> int:
     return 1 if splitmix64(((m << 32) | n) ^ spec.seed_sign) & 1 == 0 else -1
 
 
-def _keys_row(m: int, spec: HashSpec) -> np.ndarray:
-    cols = np.arange(spec.in_dim, dtype=np.uint64)
-    return (_U(m) << _U(32)) | cols
-
-
-def bucket_row(m: int, spec: HashSpec) -> np.ndarray:
-    """Vector of candidate indices for all positions (m, 0..in_dim)."""
+def _row_hashes(m: int, stop: int | None, seed: int, spec: HashSpec) -> np.ndarray:
     spec._check(m, 0)
-    h = _splitmix64_vec(_keys_row(m, spec) ^ _U(spec.seed_bucket))
+    end = m + 1 if stop is None else stop
+    if not m < end <= spec.out_dim:
+        raise ConfigError(f"row range [{m}, {end}) outside {spec.out_dim} rows")
+    rows = np.arange(m, end, dtype=np.uint64)[:, None]
+    cols = np.arange(spec.in_dim, dtype=np.uint64)
+    h = _splitmix64_vec(((rows << _U(32)) | cols) ^ _U(seed))
+    return h[0] if stop is None else h
+
+
+def bucket_row(m: int, spec: HashSpec, stop: int | None = None) -> np.ndarray:
+    """Vector of candidate indices for all positions (m, 0..in_dim).
+
+    With ``stop``, the (stop - m, in_dim) block of rows m..stop-1 instead.
+    """
+    h = _row_hashes(m, stop, spec.seed_bucket, spec)
     return (h % _U(spec.num_candidates)).astype(np.int64)
 
 
-def sign_row(m: int, spec: HashSpec) -> np.ndarray:
-    """Vector of +1/-1 signs for all positions (m, 0..in_dim)."""
-    spec._check(m, 0)
-    h = _splitmix64_vec(_keys_row(m, spec) ^ _U(spec.seed_sign))
+def sign_row(m: int, spec: HashSpec, stop: int | None = None) -> np.ndarray:
+    """Vector of +1/-1 signs for all positions (m, 0..in_dim); ``stop`` as in bucket_row."""
+    h = _row_hashes(m, stop, spec.seed_sign, spec)
     return np.where(h & _U(1) == 0, 1, -1).astype(np.int8)
 
 
+# Entries (batch rows x output rows x in_dim) one block may touch: it bounds
+# the gathered weights and the uint64 hash temporaries of every blocked loop.
+BLOCK_BUDGET = 1 << 15
+# A grid that fits one block is hashed once per spec and kept, read-only;
+# larger grids are hashed block by block on every pass.
+CACHE_LIMIT = BLOCK_BUDGET
+CACHE_SPECS = 8
+_grid_cache: dict[HashSpec, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _grids(spec: HashSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buckets and signs of rows lo..hi-1, from the spec cache when it applies."""
+    if spec.out_dim * spec.in_dim > CACHE_LIMIT:
+        return bucket_row(lo, spec, hi), sign_row(lo, spec, hi)
+    grids = _grid_cache.get(spec)
+    if grids is None:
+        grids = (bucket_row(0, spec, spec.out_dim), sign_row(0, spec, spec.out_dim))
+        for g in grids:
+            g.setflags(write=False)
+        if len(_grid_cache) >= CACHE_SPECS:
+            del _grid_cache[next(iter(_grid_cache))]
+        _grid_cache[spec] = grids
+    return grids[0][lo:hi], grids[1][lo:hi]
+
+
+def row_blocks(spec: HashSpec, batch: int = 1):
+    """Yield (lo, hi, buckets, signs) over all output rows, in order.
+
+    Each block holds as many rows as keep batch * rows * in_dim within
+    BLOCK_BUDGET, and at least one.  buckets is an int64 and signs an int8
+    (hi - lo, in_dim) array; both may be read-only views of the spec cache.
+    """
+    rows = max(1, BLOCK_BUDGET // (batch * spec.in_dim))
+    for lo in range(0, spec.out_dim, rows):
+        hi = min(lo + rows, spec.out_dim)
+        yield (lo, hi, *_grids(spec, lo, hi))
+
+
 def bucket_grid(spec: HashSpec) -> np.ndarray:
-    """Full out_dim x in_dim grid of candidate indices (diagnostics/oracles)."""
-    return np.stack([bucket_row(m, spec) for m in range(spec.out_dim)])
+    """Full out_dim x in_dim grid of candidate indices, a fresh copy (diagnostics/oracles)."""
+    return np.concatenate([buckets for _, _, buckets, _ in row_blocks(spec)])
 
 
 def sign_grid(spec: HashSpec) -> np.ndarray:
-    """Full out_dim x in_dim grid of signs (diagnostics/oracles)."""
-    return np.stack([sign_row(m, spec) for m in range(spec.out_dim)])
+    """Full out_dim x in_dim grid of int8 signs, a fresh copy (diagnostics/oracles)."""
+    return np.concatenate([signs for _, _, _, signs in row_blocks(spec)])
 
 
 def hash_stats(spec: HashSpec) -> dict:
@@ -122,11 +167,15 @@ def hash_stats(spec: HashSpec) -> dict:
     Returns the exact bucket histogram, a chi-square statistic against the
     uniform expectation grid_size / num_candidates, and the mean sign.
     """
-    loads = np.bincount(bucket_grid(spec).ravel(), minlength=spec.num_candidates)
+    loads = np.zeros(spec.num_candidates, dtype=np.int64)
+    sign_sum = 0
+    for _, _, buckets, signs in row_blocks(spec):
+        loads += np.bincount(buckets.ravel(), minlength=spec.num_candidates)
+        sign_sum += int(signs.sum(dtype=np.int64))
     grid_size = spec.out_dim * spec.in_dim
     expected = grid_size / spec.num_candidates
     chi_square = float(((loads - expected) ** 2 / expected).sum())
-    sign_mean = float(sign_grid(spec).astype(np.float64).mean())
+    sign_mean = sign_sum / grid_size
     return {
         "out_dim": spec.out_dim,
         "in_dim": spec.in_dim,

@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdutil import assert_fd_match
 
@@ -215,3 +218,170 @@ def test_forward_memory_independent_of_grid_size():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < grid_bytes / 4
+
+
+# --- blocked layer: properties and the contracts of the block iterator -----
+
+
+def row_major_dp(x, d_out, spec):
+    """d_candidates added one weight position at a time, row-major over (m, n),
+    from the scalar hashes: the accumulation order the layer must reproduce."""
+    dp = np.zeros((len(x), spec.num_candidates))
+    for m in range(spec.out_dim):
+        for n in range(spec.in_dim):
+            dp[:, hashing.bucket(m, n, spec)] += x[:, n] * d_out[:, m] * hashing.sign(m, n, spec)
+    return dp
+
+
+def dense_weights(p, spec):
+    """(batch, out, in) weight tensors built from the scalar hashes."""
+    grid = [(m, n) for m in range(spec.out_dim) for n in range(spec.in_dim)]
+    buckets = np.array([hashing.bucket(m, n, spec) for m, n in grid]).reshape(spec.out_dim, -1)
+    signs = np.array([hashing.sign(m, n, spec) for m, n in grid]).reshape(spec.out_dim, -1)
+    return p[:, buckets] * signs
+
+
+def check_against_dense(spec, x, p, bias, d_out):
+    w = dense_weights(p, spec)
+    out = dyn_forward(x, p, bias, spec)
+    assert np.abs(out - ((w @ x[:, :, None])[..., 0] + bias)).max() <= 1e-12
+    dx, dp, db = dyn_backward(x, p, d_out, spec)
+    assert np.abs(dx - (d_out[:, None, :] @ w)[:, 0]).max() <= 1e-12
+    assert np.array_equal(dp, row_major_dp(x, d_out, spec))
+    assert np.array_equal(db, d_out.sum(axis=0))
+
+
+@st.composite
+def blocked_instances(draw):
+    seeds = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=2, max_size=2, unique=True))
+    spec = HashSpec(
+        out_dim=draw(st.integers(1, 12)),
+        in_dim=draw(st.integers(1, 12)),
+        num_candidates=draw(st.integers(1, 20)),
+        seed_bucket=seeds[0],
+        seed_sign=seeds[1],
+    )
+    batch = draw(st.sampled_from([1, 2, 3, 256]))
+    # small budgets put block boundaries inside the grid and inside the batch
+    budget = draw(st.sampled_from([1, 5, 16, 64, 500, hashing.BLOCK_BUDGET]))
+    # grids above the limit stream their hashes; at or below it they are cached
+    cache_limit = draw(st.sampled_from([0, spec.out_dim * spec.in_dim, hashing.CACHE_LIMIT]))
+    return spec, batch, budget, cache_limit, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocked_instances())
+def test_blocked_layer_matches_dense_and_row_major(instance):
+    spec, batch, budget, cache_limit, seed = instance
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, spec.in_dim))
+    p = rng.normal(size=(batch, spec.num_candidates))
+    bias = rng.normal(size=spec.out_dim)
+    d_out = rng.normal(size=(batch, spec.out_dim))
+    with mock.patch.multiple(hashing, BLOCK_BUDGET=budget, CACHE_LIMIT=cache_limit), \
+            mock.patch.dict(hashing._grid_cache, clear=True):
+        check_against_dense(spec, x, p, bias, d_out)
+        out32 = dyn_forward(x.astype(np.float32), p.astype(np.float32), bias.astype(np.float32), spec)
+        grads32 = dyn_backward(x.astype(np.float32), p.astype(np.float32),
+                               d_out.astype(np.float32), spec)
+    assert out32.dtype == np.float32
+    assert [g.dtype for g in grads32] == [np.float32] * 3
+    np.testing.assert_allclose(out32, dyn_forward(x, p, bias, spec), rtol=1e-4, atol=1e-4)
+    for g32, g64 in zip(grads32, dyn_backward(x, p, d_out, spec)):
+        np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4)
+
+
+def test_default_budget_splits_a_streamed_grid_mid_way():
+    # 200 x 180 is above the cache limit; one batch row fits 182 output rows
+    spec = HashSpec(out_dim=200, in_dim=180, num_candidates=16)
+    assert spec.out_dim * spec.in_dim > hashing.CACHE_LIMIT
+    assert hashing.BLOCK_BUDGET // spec.in_dim < spec.out_dim
+    rng = np.random.default_rng(9)
+    check_against_dense(
+        spec, rng.normal(size=(1, 180)), rng.normal(size=(1, 16)),
+        rng.normal(size=200), rng.normal(size=(1, 200)),
+    )
+
+
+def _counting_bucket_row(monkeypatch):
+    calls = []
+    real = hashing.bucket_row
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashing, "bucket_row", counted)
+    return calls
+
+
+def test_cached_spec_is_hashed_once(monkeypatch):
+    spec = HashSpec(out_dim=32, in_dim=64, num_candidates=512, seed_bucket=3, seed_sign=4)
+    hashing._grid_cache.pop(spec, None)
+    calls = _counting_bucket_row(monkeypatch)
+    rng = np.random.default_rng(10)
+    x, p, d = rng.normal(size=(32, 64)), rng.normal(size=(32, 512)), rng.normal(size=(32, 32))
+    dyn_forward(x, p, np.zeros(32), spec)
+    assert len(calls) == 1
+    dyn_forward(x, p, np.zeros(32), spec)
+    dyn_backward(x, p, d, spec)
+    assert len(calls) == 1
+    assert spec in hashing._grid_cache
+
+
+def test_spec_above_cache_limit_is_not_cached(monkeypatch):
+    spec = HashSpec(out_dim=200, in_dim=200, num_candidates=8)
+    assert spec.out_dim * spec.in_dim > hashing.CACHE_LIMIT
+    calls = _counting_bucket_row(monkeypatch)
+    rng = np.random.default_rng(11)
+    dyn_forward(rng.normal(size=(2, 200)), rng.normal(size=(2, 8)), np.zeros(200), spec)
+    first = len(calls)
+    assert first > 0
+    dyn_forward(rng.normal(size=(2, 200)), rng.normal(size=(2, 8)), np.zeros(200), spec)
+    assert len(calls) == 2 * first
+    assert spec not in hashing._grid_cache
+
+
+def test_spec_cache_is_bounded():
+    specs = [HashSpec(out_dim=2, in_dim=3, num_candidates=2 + i) for i in range(hashing.CACHE_SPECS + 3)]
+    x = np.ones((1, 3))
+    for spec in specs:
+        dyn_forward(x, np.ones((1, spec.num_candidates)), np.zeros(2), spec)
+    assert len(hashing._grid_cache) <= hashing.CACHE_SPECS
+    assert specs[-1] in hashing._grid_cache
+
+
+def test_eval_batch_transient_memory_stays_within_block_budget():
+    # the default 32 x 64, K=512 layer at the 256-row eval batch: gathering the
+    # whole batch x grid at once would take 16 blocks of BLOCK_BUDGET entries
+    spec = HashSpec(out_dim=32, in_dim=64, num_candidates=512)
+    rng = np.random.default_rng(12)
+    x, p, d = rng.normal(size=(256, 64)), rng.normal(size=(256, 512)), rng.normal(size=(256, 32))
+    bias = np.zeros(32)
+    block_bytes = hashing.BLOCK_BUDGET * 8
+    assert 256 * spec.out_dim * spec.in_dim >= 16 * hashing.BLOCK_BUDGET
+    dyn_forward(x, p, bias, spec)  # warm up the spec cache and allocator pools
+    dyn_backward(x, p, d, spec)
+
+    tracemalloc.start()
+    out = dyn_forward(x, p, bias, spec)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # one gathered block on top of the output
+    assert peak - out.nbytes < 2 * block_bytes
+
+    tracemalloc.start()
+    grads = dyn_backward(x, p, d, spec)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # one block of int64 keys and f64 terms on top of the gradients
+    assert peak - sum(g.nbytes for g in grads) < 3 * block_bytes
+
+
+@pytest.mark.parametrize("out_dim", [4, 300])  # cached and streamed grids
+def test_empty_batch(out_dim):
+    spec = HashSpec(out_dim=out_dim, in_dim=200, num_candidates=3)
+    out = dyn_forward(np.zeros((0, 200)), np.zeros((0, 3)), np.zeros(out_dim), spec)
+    dx, dp, db = dyn_backward(np.zeros((0, 200)), np.zeros((0, 3)), np.zeros((0, out_dim)), spec)
+    assert out.shape == (0, out_dim) and dx.shape == (0, 200) and dp.shape == (0, 3)
+    assert np.array_equal(db, np.zeros(out_dim))

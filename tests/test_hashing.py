@@ -116,3 +116,51 @@ def test_buckets_surjective_when_grid_dominates(out_dim, in_dim, k):
     assert out_dim * in_dim >= 64 * k
     spec = HashSpec(out_dim=out_dim, in_dim=in_dim, num_candidates=k)
     assert hashing.hash_stats(spec)["empty_buckets"] == 0
+
+
+def test_row_ranges_match_single_rows():
+    spec = HashSpec(out_dim=7, in_dim=5, num_candidates=3)
+    block_b = hashing.bucket_row(2, spec, 6)
+    block_s = hashing.sign_row(2, spec, 6)
+    assert block_b.shape == block_s.shape == (4, 5)
+    assert np.array_equal(block_b, np.stack([hashing.bucket_row(m, spec) for m in range(2, 6)]))
+    assert np.array_equal(block_s, np.stack([hashing.sign_row(m, spec) for m in range(2, 6)]))
+    for stop in (2, 1, 8):
+        with pytest.raises(ConfigError):
+            hashing.bucket_row(2, spec, stop)
+
+
+def test_cached_grids_cannot_be_mutated():
+    spec = HashSpec(out_dim=4, in_dim=6, num_candidates=5)
+    buckets, signs = hashing.bucket_grid(spec), hashing.sign_grid(spec)
+    copy = hashing.bucket_grid(spec)
+    copy[0, 0] += 1  # the caller owns the copy it gets
+    hashing.sign_grid(spec)[0, 0] *= -1
+    assert np.array_equal(hashing.bucket_grid(spec), buckets)
+    assert np.array_equal(hashing.sign_grid(spec), signs)
+    assert spec in hashing._grid_cache
+    for _, _, block_b, block_s in hashing.row_blocks(spec):
+        with pytest.raises(ValueError):
+            block_b[0, 0] = 0
+        with pytest.raises(ValueError):
+            block_s[0, 0] = 1
+
+
+@pytest.mark.parametrize("budget", [1, 7, hashing.BLOCK_BUDGET])
+def test_block_paths_match_row_by_row_hashing(budget, monkeypatch):
+    # grid, stats and blocks agree with stacking single rows, whatever the
+    # block size and whether the grid streams or is cached
+    monkeypatch.setattr(hashing, "BLOCK_BUDGET", budget)
+    monkeypatch.setattr(hashing, "CACHE_LIMIT", min(budget, hashing.CACHE_LIMIT))
+    spec = HashSpec(out_dim=9, in_dim=4, num_candidates=6)
+    rows_b = np.stack([hashing.bucket_row(m, spec) for m in range(9)])
+    rows_s = np.stack([hashing.sign_row(m, spec) for m in range(9)])
+    assert np.array_equal(hashing.bucket_grid(spec), rows_b)
+    assert np.array_equal(hashing.sign_grid(spec), rows_s)
+    bounds = [(lo, hi) for lo, hi, _, _ in hashing.row_blocks(spec)]
+    assert bounds[0][0] == 0 and bounds[-1][1] == 9
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    assert all(hi - lo <= max(1, budget // 4) for lo, hi in bounds)
+    report = hashing.hash_stats(spec)
+    assert report["bucket_loads"] == np.bincount(rows_b.ravel(), minlength=6).tolist()
+    assert report["sign_mean"] == rows_s.astype(np.float64).mean()
