@@ -19,7 +19,9 @@ import numpy as np
 
 from . import hashing, metrics, model as mdl, oracles, trainer
 from .config import RunConfig, VARIANTS
-from .data import GenConfig, QAExample, generate_synthetic, load_jsonl, save_jsonl
+from .data import (
+    GenConfig, QAExample, generate_synthetic, load_jsonl, save_jsonl, validate_features,
+)
 from .errors import ConfigError, DataFormatError, DppnetError
 from .tensor import PRECISIONS
 
@@ -158,14 +160,17 @@ def cmd_predict(args) -> int:
     if bool(args.data) == bool(args.example):
         raise ConfigError("predict needs exactly one of --data or --example")
     if args.example:
-        rec = json.loads(args.example)
+        try:
+            rec = json.loads(args.example)
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"--example: invalid JSON ({e})") from e
         for key in ("features", "question"):
-            if key not in rec:
+            if not isinstance(rec, dict) or key not in rec:
                 raise DataFormatError(f"--example missing field {key!r}")
         examples = [
             QAExample(
-                features=np.asarray(rec["features"], dtype=np.float64),
-                question=rec["question"],
+                features=validate_features(rec["features"], "--example"),
+                question=str(rec["question"]),
                 answers=["?"],
                 meta={"id": rec.get("id", 0)},
             )

@@ -13,6 +13,7 @@ questions whose answers require reading the question, not just the features.
 from __future__ import annotations
 
 import json
+import math
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,6 +131,23 @@ class QAExample:
     meta: dict = field(default_factory=dict)
 
 
+def length_buckets(token_ids) -> dict[int, np.ndarray]:
+    """Row indices of the token id sequences, grouped by length (ascending)."""
+    buckets: dict[int, list[int]] = {}
+    for i, ids in enumerate(token_ids):
+        buckets.setdefault(len(ids), []).append(i)
+    return {length: np.asarray(rows) for length, rows in sorted(buckets.items())}
+
+
+def length_batches(token_ids, batch_size: int) -> list[np.ndarray]:
+    """Equal-length batches of at most batch_size rows, in bucket then row order."""
+    return [
+        rows[start : start + batch_size]
+        for rows in length_buckets(token_ids).values()
+        for start in range(0, len(rows), batch_size)
+    ]
+
+
 def build_vocab(train_examples) -> tuple[Vocabulary, AnswerSpace]:
     """Vocabulary and answer classes from the training split only."""
     examples = list(train_examples)
@@ -152,6 +170,28 @@ def save_jsonl(path, examples) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def validate_features(values, where: str) -> np.ndarray:
+    """A JSON feature list as f64; `where` (a file line, a flag) leads the error.
+
+    JSON booleans and Python's NaN/Infinity extensions parse as numbers, so
+    both are rejected here rather than trained or predicted on.
+    """
+    if not isinstance(values, list):
+        raise DataFormatError(f"{where}: features must be a list of numbers")
+    # exact types: bool subclasses int
+    if not set(map(type, values)) <= {int, float}:
+        i, v = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
+        raise DataFormatError(f"{where}: feature {i} is {json.dumps(v)}, not a number")
+    try:
+        if all(map(math.isfinite, values)):
+            return np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    # NaN, +-Infinity or such an integer
+    i = next(i for i, v in enumerate(values) if not abs(v) < 2**1024)
+    raise DataFormatError(f"{where}: feature {i} is not a finite number")
+
+
 def load_jsonl(path) -> list[QAExample]:
     """Load and validate an interchange file; errors carry line numbers."""
     path = Path(path)
@@ -171,11 +211,7 @@ def load_jsonl(path) -> list[QAExample]:
             for key in ("features", "question", "answers"):
                 if key not in rec:
                     raise DataFormatError(f"{path}:{lineno}: missing field {key!r}")
-            feats = rec["features"]
-            if not isinstance(feats, list) or not all(
-                isinstance(v, (int, float)) for v in feats
-            ):
-                raise DataFormatError(f"{path}:{lineno}: features must be a list of numbers")
+            feats = validate_features(rec["features"], f"{path}:{lineno}")
             if feature_dim is None:
                 feature_dim = len(feats)
             elif len(feats) != feature_dim:
@@ -188,7 +224,7 @@ def load_jsonl(path) -> list[QAExample]:
             meta = {k: v for k, v in rec.items() if k not in ("features", "question", "answers")}
             examples.append(
                 QAExample(
-                    features=np.asarray(feats, dtype=np.float64),
+                    features=feats,
                     question=str(rec["question"]),
                     answers=[str(a) for a in rec["answers"]],
                     meta=meta,

@@ -3,6 +3,16 @@
 The GRU follows the classic reset/update-gate form with no bias terms by
 default; imported pre-trained encoders may carry biases.  Sequences are always
 processed at their true length, batches hold equal-length questions only.
+
+The recurrence is gate-fused.  The input weights are stacked as
+[w_r; w_z; w_h] and the reset/update recurrent weights as [u_r; u_z] once per
+sequence, so a step is one input projection, one recurrent projection and one
+sigmoid for both gates, plus the reset-scaled candidate projection.  Steps
+write their gates, candidates and entering states into time-major arrays (a
+GruTrace), and the gate range check runs once over those arrays per sequence.
+Backward walks only the state-gradient chain step by step, then forms every
+parameter and input gradient with one matmul over all T x B rows.  gru_step
+and gru_step_backward are the one-step case of the same code.
 """
 
 from __future__ import annotations
@@ -84,6 +94,28 @@ class GruStepCache:
     h_bar: np.ndarray
 
 
+@dataclass
+class GruTrace:
+    """A whole sequence's forward values, stacked time-major for backward.
+
+    len() is the step count and trace[t] is step t's GruStepCache (views).
+    """
+
+    x: np.ndarray  # B x T x E input
+    h_prev: np.ndarray  # T x B x H, the state entering each step
+    rz: np.ndarray  # T x B x 2H, reset gate then update gate
+    h_bar: np.ndarray  # T x B x H
+
+    def __len__(self) -> int:
+        return self.h_bar.shape[0]
+
+    def __getitem__(self, t: int) -> GruStepCache:
+        r, z = np.split(self.rz[t], 2, axis=1)
+        return GruStepCache(
+            x=self.x[:, t, :], h_prev=self.h_prev[t], r=r, z=z, h_bar=self.h_bar[t]
+        )
+
+
 def embed(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Look up embedding rows for a batch of equal-length token id sequences."""
     tokens = np.asarray(tokens)
@@ -109,15 +141,25 @@ def embed_backward(tokens: np.ndarray, d_vectors: np.ndarray, vocab_size: int) -
     return d_table
 
 
-def _check_gates(r, z, h_bar):
-    if not (np.all(r >= 0.0) and np.all(r <= 1.0) and np.all(z >= 0.0) and np.all(z <= 1.0)):
+def _check_gates(rz, h_bar):
+    # min and max carry a NaN through, so non-finite inputs fail the ranges
+    if not (rz.min() >= 0.0 and rz.max() <= 1.0):
         raise FloatingPointError("gru gate left [0, 1]; inputs were non-finite")
-    if not (np.all(h_bar >= -1.0) and np.all(h_bar <= 1.0)):
+    if not (h_bar.min() >= -1.0 and h_bar.max() <= 1.0):
         raise FloatingPointError("gru candidate activation left [-1, 1]")
     if STRICT_GATES:
+        r, z = np.split(rz, 2, axis=-1)
         assert np.all(r > 0.0) and np.all(r < 1.0), "reset gate saturated"
         assert np.all(z > 0.0) and np.all(z < 1.0), "update gate saturated"
         assert np.all(np.abs(h_bar) < 1.0), "candidate activation saturated"
+
+
+def _fused(params: GruParams):
+    """Stacked input weights [w_r; w_z; w_h], recurrent [u_r; u_z], bias or None."""
+    w = np.concatenate([params.w_r, params.w_z, params.w_h])
+    u_rz = np.concatenate([params.u_r, params.u_z])
+    bias = np.concatenate([params.b_r, params.b_z, params.b_h]) if params.has_bias else None
+    return w, u_rz, bias
 
 
 def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: GruParams):
@@ -127,24 +169,8 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: GruParams):
     candidate activation tanh-mixes x_t with the reset-scaled previous state;
     the new state is the update-gated convex combination.
     """
-    if x_t.shape[1] != params.input_dim:
-        raise ShapeError(f"gru input dim {x_t.shape[1]} != {params.input_dim}")
-    if h_prev.shape != (x_t.shape[0], params.hidden_dim):
-        raise ShapeError(f"gru state shape {h_prev.shape} != ({x_t.shape[0]}, {params.hidden_dim})")
-    a_r = matmul(x_t, params.w_r.T) + matmul(h_prev, params.u_r.T)
-    a_z = matmul(x_t, params.w_z.T) + matmul(h_prev, params.u_z.T)
-    if params.has_bias:
-        a_r = a_r + params.b_r
-        a_z = a_z + params.b_z
-    r = activation("sigmoid", a_r)
-    z = activation("sigmoid", a_z)
-    a_h = matmul(x_t, params.w_h.T) + matmul(r * h_prev, params.u_h.T)
-    if params.has_bias:
-        a_h = a_h + params.b_h
-    h_bar = activation("tanh", a_h)
-    _check_gates(r, z, h_bar)
-    h_t = (1.0 - z) * h_prev + z * h_bar
-    return h_t, GruStepCache(x=x_t, h_prev=h_prev, r=r, z=z, h_bar=h_bar)
+    h_t, trace = gru_encode(x_t[:, None, :], params, h_prev)
+    return h_t, trace[0]
 
 
 def gru_step_backward(cache: GruStepCache, params: GruParams, dh: np.ndarray, acc: dict):
@@ -152,61 +178,94 @@ def gru_step_backward(cache: GruStepCache, params: GruParams, dh: np.ndarray, ac
 
     Returns (dx_t, dh_prev).
     """
-    x, h_prev, r, z, h_bar = cache.x, cache.h_prev, cache.r, cache.z, cache.h_bar
-    dz = dh * (h_bar - h_prev)
-    dh_bar = dh * z
-    dh_prev = dh * (1.0 - z)
-
-    da_h = dh_bar * (1.0 - h_bar * h_bar)
-    rh = r * h_prev
-    acc["w_h"] += matmul(da_h.T, x)
-    acc["u_h"] += matmul(da_h.T, rh)
-    dx = matmul(da_h, params.w_h)
-    drh = matmul(da_h, params.u_h)
-    dr = drh * h_prev
-    dh_prev += drh * r
-
-    da_r = dr * r * (1.0 - r)
-    da_z = dz * z * (1.0 - z)
-    acc["w_r"] += matmul(da_r.T, x)
-    acc["u_r"] += matmul(da_r.T, h_prev)
-    acc["w_z"] += matmul(da_z.T, x)
-    acc["u_z"] += matmul(da_z.T, h_prev)
-    dx += matmul(da_r, params.w_r) + matmul(da_z, params.w_z)
-    dh_prev += matmul(da_r, params.u_r) + matmul(da_z, params.u_z)
-    if params.has_bias:
-        acc["b_r"] += da_r.sum(axis=0)
-        acc["b_z"] += da_z.sum(axis=0)
-        acc["b_h"] += da_h.sum(axis=0)
-    return dx, dh_prev
+    trace = GruTrace(
+        x=cache.x[:, None, :], h_prev=cache.h_prev[None],
+        rz=np.concatenate([cache.r, cache.z], axis=1)[None], h_bar=cache.h_bar[None],
+    )
+    dx_seq, grads, dh_prev = _bptt(trace, params, dh)
+    for k, g in grads.items():
+        acc[k] += g
+    return dx_seq[:, 0, :], dh_prev
 
 
 def gru_encode(x_seq: np.ndarray, params: GruParams, h0: np.ndarray | None = None):
-    """Fold gru_step over a B x T x E sequence; returns (h_last, caches)."""
+    """Run the recurrence over a B x T x E sequence; returns (h_last, trace).
+
+    The trace holds every step's values stacked time-major; len(trace) is T.
+    """
     if x_seq.ndim != 3 or x_seq.shape[1] < 1:
         raise ShapeError(f"sequence must be B x T x E with T >= 1, got {x_seq.shape}")
-    b = x_seq.shape[0]
-    h = np.zeros((b, params.hidden_dim), dtype=x_seq.dtype) if h0 is None else h0
-    caches = []
-    for t in range(x_seq.shape[1]):
-        h, cache = gru_step(x_seq[:, t, :], h, params)
-        caches.append(cache)
-    return h, caches
+    b, steps, e = x_seq.shape
+    hd = params.hidden_dim
+    if e != params.input_dim:
+        raise ShapeError(f"gru input dim {e} != {params.input_dim}")
+    if h0 is not None and h0.shape != (b, hd):
+        raise ShapeError(f"gru state shape {h0.shape} != ({b}, {hd})")
+    w, u_rz, bias = _fused(params)
+    dt = np.result_type(x_seq.dtype, w.dtype, x_seq.dtype if h0 is None else h0.dtype)
+    h_prev = np.empty((steps, b, hd), dtype=dt)
+    rz = np.empty((steps, b, 2 * hd), dtype=dt)
+    h_bar = np.empty((steps, b, hd), dtype=dt)
+    h = np.zeros((b, hd), dtype=dt) if h0 is None else h0
+    for t in range(steps):
+        h_prev[t] = h
+        # projected per step: all T at once would hold a T x B x 3H array
+        a = matmul(x_seq[:, t, :], w.T)
+        a_rz = a[:, : 2 * hd]
+        a_rz += matmul(h, u_rz.T)
+        if bias is not None:
+            a_rz += bias[: 2 * hd]
+        rz[t] = activation("sigmoid", a_rz)
+        r, z = rz[t, :, :hd], rz[t, :, hd:]
+        a_h = a[:, 2 * hd :] + matmul(r * h, params.u_h.T)
+        if bias is not None:
+            a_h += bias[2 * hd :]
+        h_bar[t] = activation("tanh", a_h)
+        h = (1.0 - z) * h + z * h_bar[t]
+    _check_gates(rz, h_bar)
+    return h, GruTrace(x=x_seq, h_prev=h_prev, rz=rz, h_bar=h_bar)
+
+
+def _bptt(trace: GruTrace, params: GruParams, dh: np.ndarray):
+    """Backward through a whole trace; returns (dx_seq, param grads, dh0).
+
+    The loop carries only the state gradient and records each step's gate
+    pre-activation gradients [da_r, da_z, da_h]; the parameter and input
+    gradients are then one matmul each over all T x B rows.
+    """
+    steps, b, hd = trace.h_bar.shape
+    w, u_rz, _ = _fused(params)
+    h_prev, h_bar = trace.h_prev, trace.h_bar
+    r, z = trace.rz[..., :hd], trace.rz[..., hd:]
+    d_sig = trace.rz * (1.0 - trace.rz)
+    g = np.empty((steps, b, 3 * hd), dtype=np.result_type(dh.dtype, trace.rz.dtype))
+    for t in range(steps - 1, -1, -1):
+        da_h = dh * z[t] * (1.0 - h_bar[t] * h_bar[t])
+        drh = matmul(da_h, params.u_h)
+        g[t, :, :hd] = drh * h_prev[t] * d_sig[t, :, :hd]
+        g[t, :, hd : 2 * hd] = dh * (h_bar[t] - h_prev[t]) * d_sig[t, :, hd:]
+        g[t, :, 2 * hd :] = da_h
+        dh = dh * (1.0 - z[t]) + drh * r[t] + matmul(g[t, :, : 2 * hd], u_rz)
+    g = g.reshape(steps * b, 3 * hd)
+    x = trace.x.transpose(1, 0, 2).reshape(steps * b, -1)
+    dw = matmul(g.T, x)
+    du_rz = matmul(g[:, : 2 * hd].T, h_prev.reshape(steps * b, hd))
+    grads = {
+        "w_r": dw[:hd], "w_z": dw[hd : 2 * hd], "w_h": dw[2 * hd :],
+        "u_r": du_rz[:hd], "u_z": du_rz[hd:],
+        "u_h": matmul(g[:, 2 * hd :].T, (r * h_prev).reshape(steps * b, hd)),
+    }
+    if params.has_bias:
+        db = g.sum(axis=0)
+        grads.update(b_r=db[:hd], b_z=db[hd : 2 * hd], b_h=db[2 * hd :])
+    dx_seq = matmul(g, w).reshape(steps, b, -1).transpose(1, 0, 2)
+    return dx_seq, grads, dh
 
 
 def gru_encode_backward(caches, params: GruParams, dh_last: np.ndarray):
     """Backward through time; returns (dx_seq, param grads dict)."""
-    acc = {k: np.zeros_like(getattr(params, k)) for k in ("w_r", "w_z", "w_h", "u_r", "u_z", "u_h")}
-    if params.has_bias:
-        for k in ("b_r", "b_z", "b_h"):
-            acc[k] = np.zeros_like(getattr(params, k))
-    dh = dh_last
-    dx_seq = np.empty(
-        (dh_last.shape[0], len(caches), params.input_dim), dtype=dh_last.dtype
-    )
-    for t in range(len(caches) - 1, -1, -1):
-        dx_seq[:, t, :], dh = gru_step_backward(caches[t], params, dh, acc)
-    return dx_seq, acc
+    dx_seq, grads, _ = _bptt(caches, params, dh_last)
+    return dx_seq, grads
 
 
 def predict_candidates(h_last: np.ndarray, w_proj: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import encoder as enc
 from .config import ModelConfig, RunConfig
-from .data import AnswerSpace, Vocabulary
+from .data import AnswerSpace, Vocabulary, length_batches
 from .dynlayer import dyn_backward, dyn_forward
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import (
@@ -264,22 +264,34 @@ def encode_question(cfg: ModelConfig, store: ParamStore, token_ids) -> np.ndarra
     return h_last[0]
 
 
+def encode_questions(cfg: ModelConfig, store: ParamStore, token_id_lists) -> np.ndarray:
+    """N x H question embeddings in input order, one encoder call per
+    equal-length batch of at most 256 questions."""
+    table = store["embed.table"]
+    params = enc.GruParams.from_store(store)
+    out = np.empty((len(token_id_lists), params.hidden_dim), dtype=table.dtype)
+    for rows in length_batches(token_id_lists, 256):
+        tokens = np.asarray([token_id_lists[i] for i in rows], dtype=np.int64)
+        # the trace is dropped at once, so two buckets' traces never coexist
+        out[rows] = enc.gru_encode(enc.embed(tokens, table), params)[0]
+    return out
+
+
 def retrieve_similar(cfg: ModelConfig, store: ParamStore, vocab: Vocabulary,
                      query: str, corpus: list[str], top_k: int) -> list[dict]:
-    """Corpus questions ranked by cosine similarity of their embeddings.
+    """The top_k corpus questions ranked by cosine similarity of their embeddings.
 
     Descending, stable order; zero-norm embeddings score 0.
     """
     if not corpus:
         raise ConfigError("retrieval corpus is empty")
+    if top_k < 1:
+        raise ConfigError(f"--top-k must be >= 1, got {top_k}")
     hq = encode_question(cfg, store, vocab.encode_question(query))
-    nq = np.linalg.norm(hq)
-    sims = np.empty(len(corpus))
-    for i, question in enumerate(corpus):
-        hc = encode_question(cfg, store, vocab.encode_question(question))
-        denom = nq * np.linalg.norm(hc)
-        sims[i] = float(hq @ hc / denom) if denom > 0 else 0.0
-    order = np.argsort(-sims, kind="stable")[: max(0, top_k)]
+    emb = encode_questions(cfg, store, [vocab.encode_question(q) for q in corpus])
+    denom = np.linalg.norm(emb, axis=1) * np.linalg.norm(hq)
+    sims = np.divide(emb @ hq, denom, out=np.zeros(len(corpus)), where=denom > 0)
+    order = np.argsort(-sims, kind="stable")[:top_k]
     return [
         {"rank": r + 1, "question": corpus[i], "similarity": float(sims[i]), "index": int(i)}
         for r, i in enumerate(order)

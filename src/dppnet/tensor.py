@@ -37,12 +37,13 @@ ACTIVATIONS = ("sigmoid", "tanh", "relu")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp of -|x| never overflows; the two branches 1 / (1 + e^-x) and
+    # e^x / (1 + e^x) then share one denominator, bit for bit.  min(x, -x) is
+    # -|x| that passes a NaN through with its sign, as exp(x) did.
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0  # in place: one temporary fewer at the GRU's batch sizes
+    out /= e
     return out
 
 

@@ -14,7 +14,9 @@ import numpy as np
 
 from . import model as mdl
 from .config import RunConfig, TrainSchedule
-from .data import AnswerSpace, QAExample, Vocabulary, build_vocab
+from .data import (
+    AnswerSpace, QAExample, Vocabulary, build_vocab, length_batches, length_buckets,
+)
 from .encoder import load_pretrained
 from .errors import CheckpointError, ConfigError, DataFormatError
 from .tensor import ParamStore
@@ -164,18 +166,11 @@ def encode_dataset(examples: list[QAExample], vocab: Vocabulary,
     return EncodedDataset(features=feats, token_ids=ids, targets=targets)
 
 
-def _bucket_indices(token_ids) -> dict[int, np.ndarray]:
-    buckets: dict[int, list[int]] = {}
-    for i, ids in enumerate(token_ids):
-        buckets.setdefault(len(ids), []).append(i)
-    return {length: np.asarray(rows) for length, rows in sorted(buckets.items())}
-
-
 def train_batches(data: EncodedDataset, batch_size: int, rng: np.random.Generator):
     """Shuffled equal-length batches; singleton batches are dropped because
     train-mode batch norm needs two rows."""
     batches = []
-    for length, rows in _bucket_indices(data.token_ids).items():
+    for rows in length_buckets(data.token_ids).values():
         rows = rows[rng.permutation(len(rows))]
         for start in range(0, len(rows), batch_size):
             chunk = rows[start : start + batch_size]
@@ -186,11 +181,7 @@ def train_batches(data: EncodedDataset, batch_size: int, rng: np.random.Generato
 
 
 def eval_batches(data: EncodedDataset, batch_size: int):
-    batches = []
-    for length, rows in _bucket_indices(data.token_ids).items():
-        for start in range(0, len(rows), batch_size):
-            batches.append(rows[start : start + batch_size])
-    return batches
+    return length_batches(data.token_ids, batch_size)
 
 
 def _gather(data: EncodedDataset, rows: np.ndarray):

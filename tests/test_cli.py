@@ -289,3 +289,67 @@ class TestErrorSurface:
         )
         assert code == 0
         assert json.loads(out)["examples"] == 80
+
+
+class TestBoundaryRejections:
+    @pytest.mark.parametrize("bad", ["true", "false", "NaN", "Infinity", "-Infinity"])
+    def test_predict_example_rejects_bool_and_non_finite(self, capsys, tiny_data_dir,
+                                                         tiny_checkpoint, bad):
+        record = json.loads((tiny_data_dir / "test.jsonl").read_text().splitlines()[0])
+        feats = json.dumps(record["features"][:-1])[:-1] + f", {bad}]"
+        example = f'{{"features": {feats}, "question": {json.dumps(record["question"])}}}'
+        code, out, err = run_cli(
+            capsys, "predict", "--checkpoint", str(tiny_checkpoint), "--example", example
+        )
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DataFormatError"
+        assert error["message"].startswith("--example: feature ")
+
+    @pytest.mark.parametrize("bad", ["NaN", "true"])
+    def test_predict_jsonl_rejects_bool_and_non_finite(self, capsys, tiny_data_dir,
+                                                       tiny_checkpoint, tmp_path, bad):
+        lines = (tiny_data_dir / "test.jsonl").read_text().splitlines()[:3]
+        rec = json.loads(lines[2])
+        lines[2] = json.dumps(rec).replace(json.dumps(rec["features"][0]), bad, 1)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            capsys, "predict", "--checkpoint", str(tiny_checkpoint), "--data", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert ":3: feature 0 " in json.loads(err)["error"]["message"]
+
+    def test_predict_example_question_read_as_text(self, capsys, tiny_data_dir, tiny_checkpoint):
+        # load_jsonl reads a question with str(); --example must not crash on one
+        record = json.loads((tiny_data_dir / "test.jsonl").read_text().splitlines()[0])
+        example = json.dumps({"features": record["features"], "question": 5})
+        code, out, _ = run_cli(
+            capsys, "predict", "--checkpoint", str(tiny_checkpoint), "--example", example
+        )
+        assert code == 0
+        assert set(json.loads(out)) == {"id", "answer"}
+
+    @pytest.mark.parametrize("example", ["{not json", "[1, 2]"])
+    def test_predict_example_must_be_a_json_object(self, capsys, tiny_checkpoint, example):
+        code, out, err = run_cli(
+            capsys, "predict", "--checkpoint", str(tiny_checkpoint), "--example", example
+        )
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "DataFormatError"
+
+    @pytest.mark.parametrize("top_k", ["-1", "0"])
+    def test_retrieve_rejects_top_k_below_one(self, capsys, tiny_data_dir,
+                                              tiny_checkpoint, top_k):
+        code, out, err = run_cli(
+            capsys, "retrieve", "--checkpoint", str(tiny_checkpoint),
+            "--query", "what color is the star?",
+            "--corpus", str(tiny_data_dir / "test.jsonl"), "--top-k", top_k,
+        )
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "--top-k" in error["message"]

@@ -15,6 +15,7 @@ from dppnet.data import (
     load_jsonl,
     save_jsonl,
     tokenize,
+    validate_features,
 )
 from dppnet.errors import ConfigError, DataFormatError
 
@@ -199,3 +200,37 @@ class TestGenerator:
         cfg = GenConfig()
         train, _, _ = generate_synthetic(GenConfig(n_train=3, n_val=1, n_test=1), seed=0)
         assert train[0].features.shape == (cfg.feature_dim,)
+
+
+BAD_FEATURES = ["true", "false", "NaN", "Infinity", "-Infinity"]
+
+
+class TestFeatureValidation:
+    @pytest.mark.parametrize("bad", BAD_FEATURES)
+    def test_jsonl_rejects_bool_and_non_finite_naming_the_line(self, tmp_path, bad):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"features": [1, 2], "question": "q", "answers": ["a"]}\n'
+            f'{{"features": [0.5, {bad}], "question": "q", "answers": ["a"]}}\n'
+        )
+        with pytest.raises(DataFormatError, match=r":2: feature 1 "):
+            load_jsonl(path)
+
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"features": [1' + "0" * 400 + '], "question": "q", "answers": ["a"]}\n')
+        with pytest.raises(DataFormatError, match=":1: feature 0 "):
+            load_jsonl(path)
+
+    def test_finite_ints_and_floats_still_accepted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"features": [1, -2.5, 0, 1e300], "question": "q", "answers": ["a"]}\n')
+        (ex,) = load_jsonl(path)
+        assert ex.features.dtype == np.float64
+        assert ex.features.tolist() == [1.0, -2.5, 0.0, 1e300]
+
+    @pytest.mark.parametrize("values", [[1, "2"], [None], "1, 2", {"a": 1}, [[1.0]]])
+    def test_non_numbers_rejected(self, values):
+        pattern = r"^where: (features must be a list of|feature \d+ is .*, not a) number"
+        with pytest.raises(DataFormatError, match=pattern):
+            validate_features(values, "where")

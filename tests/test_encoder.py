@@ -292,3 +292,172 @@ class TestPretrained:
         table, params, _ = enc.load_pretrained(tmp_path)
         replayed, _ = enc.gru_encode(enc.embed(tokens, table), params)
         assert np.abs(replayed - recorded).max() <= 1e-6
+
+
+# --- per-gate reference: one matmul per gate and per step, one scan per step ---
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_encode(x_seq, p):
+    h = np.zeros((x_seq.shape[0], p.hidden_dim))
+    steps = []
+    for t in range(x_seq.shape[1]):
+        x = x_seq[:, t, :]
+        a_r = x @ p.w_r.T + h @ p.u_r.T
+        a_z = x @ p.w_z.T + h @ p.u_z.T
+        if p.has_bias:
+            a_r, a_z = a_r + p.b_r, a_z + p.b_z
+        r, z = _ref_sigmoid(a_r), _ref_sigmoid(a_z)
+        a_h = x @ p.w_h.T + (r * h) @ p.u_h.T
+        if p.has_bias:
+            a_h = a_h + p.b_h
+        h_bar = np.tanh(a_h)
+        steps.append((x, h, r, z, h_bar))
+        h = (1.0 - z) * h + z * h_bar
+    return h, steps
+
+
+def ref_encode_backward(steps, p, dh):
+    names = ("w_r", "w_z", "w_h", "u_r", "u_z", "u_h") + (("b_r", "b_z", "b_h") if p.has_bias else ())
+    acc = {k: np.zeros_like(getattr(p, k)) for k in names}
+    dx_seq = np.empty((dh.shape[0], len(steps), p.input_dim))
+    for t in range(len(steps) - 1, -1, -1):
+        x, h_prev, r, z, h_bar = steps[t]
+        dz = dh * (h_bar - h_prev)
+        da_h = dh * z * (1.0 - h_bar * h_bar)
+        drh = da_h @ p.u_h
+        da_r = drh * h_prev * r * (1.0 - r)
+        da_z = dz * z * (1.0 - z)
+        for k, d, inp in (("w_r", da_r, x), ("w_z", da_z, x), ("w_h", da_h, x),
+                          ("u_r", da_r, h_prev), ("u_z", da_z, h_prev), ("u_h", da_h, r * h_prev)):
+            acc[k] += d.T @ inp
+        if p.has_bias:
+            acc["b_r"] += da_r.sum(axis=0)
+            acc["b_z"] += da_z.sum(axis=0)
+            acc["b_h"] += da_h.sum(axis=0)
+        dx_seq[:, t, :] = da_h @ p.w_h + da_r @ p.w_r + da_z @ p.w_z
+        dh = dh * (1.0 - z) + drh * r + da_r @ p.u_r + da_z @ p.u_z
+    return dx_seq, acc, dh
+
+
+def _with_bias(p, rng):
+    h = p.hidden_dim
+    return enc.GruParams(
+        w_r=p.w_r, w_z=p.w_z, w_h=p.w_h, u_r=p.u_r, u_z=p.u_z, u_h=p.u_h,
+        b_r=rng.normal(size=h) * 0.3, b_z=rng.normal(size=h) * 0.3, b_h=rng.normal(size=h) * 0.3,
+    )
+
+
+def _close(a, b, tol=1e-12):
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+
+
+class TestFusedGruMatchesPerGateReference:
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("steps", [1, 12])
+    @pytest.mark.parametrize("batch", [1, 300])
+    def test_forward_and_backward(self, bias, steps, batch):
+        rng = np.random.default_rng(1000 + 10 * steps + batch + bias)
+        params = random_gru(rng, hidden=7, embed=5, scale=0.5)
+        if bias:
+            params = _with_bias(params, rng)
+        x = rng.normal(size=(batch, steps, 5))
+        dh = rng.normal(size=(batch, 7))
+
+        h, trace = enc.gru_encode(x, params)
+        h_ref, steps_ref = ref_encode(x, params)
+        _close(h, h_ref)
+        assert len(trace) == steps
+        for t, (xt, h_prev, r, z, h_bar) in enumerate(steps_ref):
+            cache = trace[t]
+            for got, want in ((cache.x, xt), (cache.h_prev, h_prev), (cache.r, r),
+                              (cache.z, z), (cache.h_bar, h_bar)):
+                _close(got, want)
+
+        dx, grads = enc.gru_encode_backward(trace, params, dh)
+        dx_ref, grads_ref, _ = ref_encode_backward(steps_ref, params, dh)
+        _close(dx, dx_ref)
+        assert list(grads) == list(grads_ref)
+        for k in grads_ref:
+            _close(grads[k], grads_ref[k])
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_step_wrappers(self, bias):
+        rng = np.random.default_rng(77)
+        params = random_gru(rng, hidden=6, embed=3, scale=0.5)
+        if bias:
+            params = _with_bias(params, rng)
+        x = rng.normal(size=(4, 3))
+        h_prev = rng.normal(size=(4, 6)) * 0.5
+        dh = rng.normal(size=(4, 6))
+
+        h, cache = enc.gru_step(x, h_prev, params)
+        assert isinstance(cache, enc.GruStepCache)
+        # the reference starts from zero state, so fold h_prev in by hand
+        a_r = x @ params.w_r.T + h_prev @ params.u_r.T + (params.b_r if bias else 0.0)
+        a_z = x @ params.w_z.T + h_prev @ params.u_z.T + (params.b_z if bias else 0.0)
+        r, z = _ref_sigmoid(a_r), _ref_sigmoid(a_z)
+        h_bar = np.tanh(x @ params.w_h.T + (r * h_prev) @ params.u_h.T
+                        + (params.b_h if bias else 0.0))
+        _close(h, (1.0 - z) * h_prev + z * h_bar)
+
+        dx_ref, grads_ref, dh_prev_ref = ref_encode_backward(
+            [(x, h_prev, r, z, h_bar)], params, dh
+        )
+        acc = {k: np.ones_like(g) for k, g in grads_ref.items()}
+        dx, dh_prev = enc.gru_step_backward(cache, params, dh, acc)
+        _close(dx, dx_ref[:, 0, :])
+        _close(dh_prev, dh_prev_ref)
+        for k, g in grads_ref.items():
+            _close(acc[k], 1.0 + g)  # accumulated onto what acc held
+
+    def test_f32_stays_f32(self):
+        rng = np.random.default_rng(78)
+        p = random_gru(rng, scale=0.5)
+        p32 = enc.GruParams(**{k: getattr(p, k).astype(np.float32)
+                               for k in ("w_r", "w_z", "w_h", "u_r", "u_z", "u_h")})
+        x = rng.normal(size=(3, 4, 4)).astype(np.float32)
+        h, trace = enc.gru_encode(x, p32)
+        dx, grads = enc.gru_encode_backward(trace, p32, np.ones((3, 5), np.float32))
+        assert h.dtype == dx.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.values())
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 3, 2)])
+    def test_nan_input_raises_floating_point_error(self, monkeypatch, strict, where):
+        monkeypatch.setattr(enc, "STRICT_GATES", strict)
+        rng = np.random.default_rng(79)
+        params = random_gru(rng)
+        x = rng.normal(size=(2, 4, 4))
+        x[where] = np.nan
+        with pytest.raises(FloatingPointError):
+            enc.gru_encode(x, params)
+
+    @pytest.mark.parametrize("gate", ["u_r", "u_z", "w_h"])
+    def test_strict_gates_still_assert_saturation(self, gate):
+        # conftest turns STRICT_GATES on; a huge weight saturates one gate
+        rng = np.random.default_rng(81)
+        params = random_gru(rng, scale=0.5)
+        getattr(params, gate)[:] = 1e6
+        x = np.abs(rng.normal(size=(2, 3, 4))) + 1.0
+        name = {"u_r": "reset", "u_z": "update", "w_h": "candidate"}[gate]
+        with pytest.raises(AssertionError, match=name):
+            enc.gru_encode(x, params)
+
+    def test_gate_check_runs_once_per_sequence(self, monkeypatch):
+        calls = []
+        real = enc._check_gates
+        monkeypatch.setattr(enc, "_check_gates", lambda *a: calls.append(a) or real(*a))
+        rng = np.random.default_rng(80)
+        enc.gru_encode(rng.normal(size=(3, 9, 4)), random_gru(rng, scale=0.5))
+        assert len(calls) == 1
+        rz, h_bar = calls[0]
+        assert rz.shape == (9, 3, 10) and h_bar.shape == (9, 3, 5)

@@ -296,3 +296,58 @@ class TestTrainedFixtureBehavior:
                 ):
                     hits += 1
         assert hits / probes >= 0.9
+
+
+class TestEncodeQuestions:
+    def test_matches_per_question_encoding_across_buckets(self, toy_cfg, toy_store):
+        rng = np.random.default_rng(21)
+        # 300 questions of length 3 (two batches of at most 256), mixed in
+        # with other lengths so input order and bucket order differ
+        lengths = [3] * 300 + [1] * 7 + [5] * 40 + [9] * 2
+        lengths = [lengths[i] for i in rng.permutation(len(lengths))]
+        ids = [rng.integers(0, toy_cfg.vocab_size, size=n).tolist() for n in lengths]
+        got = mdl.encode_questions(toy_cfg, toy_store, ids)
+        want = np.stack([mdl.encode_question(toy_cfg, toy_store, q) for q in ids])
+        assert got.shape == (len(ids), toy_cfg.hidden_dim)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_one_gru_call_per_bucket_of_at_most_256(self, toy_cfg, toy_store, monkeypatch):
+        from dppnet import encoder as enc
+
+        sizes = []
+        real = enc.gru_encode
+        monkeypatch.setattr(enc, "gru_encode",
+                            lambda x, p, h0=None: sizes.append(x.shape[:2]) or real(x, p, h0))
+        ids = [[1, 2, 3]] * 300 + [[4]] * 5
+        mdl.encode_questions(toy_cfg, toy_store, ids)
+        assert sorted(sizes) == [(5, 1), (44, 3), (256, 3)]
+
+
+class TestRetrievalBoundaries:
+    def corpus(self):
+        from dppnet.data import QAExample
+
+        corpus_ex = [QAExample(np.zeros(1), q, ["a"]) for q in ("what color", "how many")]
+        vocab, _ = build_vocab(corpus_ex)
+        return vocab, [ex.question for ex in corpus_ex]
+
+    @pytest.mark.parametrize("top_k", [0, -1, -50])
+    def test_top_k_below_one_rejected_naming_the_flag(self, toy_cfg, toy_store, top_k):
+        vocab, corpus = self.corpus()
+        with pytest.raises(ConfigError, match="--top-k"):
+            mdl.retrieve_similar(toy_cfg, toy_store, vocab, "what color", corpus, top_k)
+
+    def test_top_k_one_returns_one(self, toy_cfg, toy_store):
+        vocab, corpus = self.corpus()
+        ranked = mdl.retrieve_similar(toy_cfg, toy_store, vocab, "what color", corpus, 1)
+        assert [r["question"] for r in ranked] == ["what color"]
+
+    def test_zero_embeddings_score_zero(self, toy_cfg, toy_store):
+        # zero GRU weights keep the state at zero: every norm is zero
+        for name in toy_store.names():
+            if name.startswith("gru."):
+                toy_store[name] = np.zeros_like(toy_store[name])
+        vocab, corpus = self.corpus()
+        ranked = mdl.retrieve_similar(toy_cfg, toy_store, vocab, "what color", corpus, 2)
+        assert [r["similarity"] for r in ranked] == [0.0, 0.0]
+        assert [r["index"] for r in ranked] == [0, 1]

@@ -236,3 +236,34 @@ class TestParamStore:
         assert store.role("proj.w") == "dynamic-producing"
         assert not store.is_trainable("bn.running_mean")
         assert "bn.running_mean" not in store.updatable_names()
+
+
+def two_branch_sigmoid(x):
+    # reference: split by sign so exp never overflows
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidBranchFree:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_two_branch_reference(self, dtype):
+        info = np.finfo(dtype)
+        special = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, info.tiny, -info.tiny,
+                   info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max]
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160_001), special]).astype(dtype)
+        assert np.signbit(x[np.isnan(x)]).tolist() == [False, True]
+        got = activation("sigmoid", x)
+        want = two_branch_sigmoid(x)
+        assert got.dtype == dtype
+        # equal bit patterns, NaN included
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_keeps_shape_and_saturates_exactly(self):
+        x = np.array([[-np.inf, -0.0], [0.0, np.inf]])
+        y = activation("sigmoid", x)
+        assert y.shape == (2, 2)
+        assert y.tolist() == [[0.0, 0.5], [0.5, 1.0]]
