@@ -8,6 +8,7 @@ manifest order.  Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,43 @@ def save_params(store: ParamStore, directory) -> None:
     (directory / BLOB_NAME).write_bytes(b"".join(chunks))
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+_ENTRY_SCHEMA = {  # key -> (check, what the value must be)
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)), "a list of ints >= 0"),
+    "dtype": (lambda v: isinstance(v, str), "a string"),
+    "offset": (_is_count, "an int >= 0"),
+    "nbytes": (_is_count, "an int >= 0"),
+    "trainable": (lambda v: isinstance(v, bool), "a boolean"),
+    "role": (lambda v: isinstance(v, str), "a string"),
+    "frozen": (lambda v: isinstance(v, bool), "a boolean"),
+}
+_TAG_DEFAULTS = {"trainable": True, "role": "static", "frozen": False}  # the optional keys
+
+
+def _check_entries(manifest, manifest_path) -> list[dict]:
+    """The manifest's entries, schema-checked, with absent tags filled in."""
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest {manifest_path} is not a JSON object")
+    entries = manifest.get("entries")
+    if not isinstance(entries, list):
+        raise CheckpointError(f"manifest {manifest_path}: 'entries' must be a list")
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise CheckpointError(f"manifest {manifest_path}: entry {i} is not a JSON object")
+        for key, (ok, what) in _ENTRY_SCHEMA.items():
+            if not ok(e.get(key, _TAG_DEFAULTS.get(key))):
+                got = f"got {e[key]!r}" if key in e else "it is missing"
+                raise CheckpointError(
+                    f"manifest {manifest_path}: entry {i} ({e.get('name')!r}) "
+                    f"key {key!r} must be {what}, {got}"
+                )
+    return [{**_TAG_DEFAULTS, **e} for e in entries]
+
+
 def load_params(directory) -> ParamStore:
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -59,12 +97,12 @@ def load_params(directory) -> ParamStore:
         raise CheckpointError(f"missing parameter blob {blob_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"manifest {manifest_path} is not valid JSON: {e}") from e
+    entries = _check_entries(manifest, manifest_path)
     if manifest.get("format") != _FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')!r}")
     blob = blob_path.read_bytes()
-    entries = manifest["entries"]
     expected = sum(e["nbytes"] for e in entries)
     if len(blob) != expected:
         raise CheckpointError(
@@ -76,22 +114,21 @@ def load_params(directory) -> ParamStore:
     precision = precisions.pop()
     if precision not in _WIRE_DTYPES:
         raise CheckpointError(f"unknown dtype {precision!r} in manifest")
+    wire = np.dtype(_WIRE_DTYPES[precision])
     store = ParamStore(precision)
     frozen = []
     for e in entries:
+        count = math.prod(e["shape"])
+        if e["nbytes"] != count * wire.itemsize:
+            raise CheckpointError(
+                f"entry {e['name']!r}: nbytes {e['nbytes']} does not hold shape {e['shape']}"
+            )
         raw = blob[e["offset"] : e["offset"] + e["nbytes"]]
-        count = int(np.prod(e["shape"])) if e["shape"] else 1
-        flat = np.frombuffer(raw, dtype=_WIRE_DTYPES[precision], count=count)
-        if flat.size != count:
+        if len(raw) != e["nbytes"]:
             raise CheckpointError(f"entry {e['name']!r} truncated in {blob_path}")
-        value = flat.reshape(e["shape"])
-        store.add(
-            e["name"],
-            value,
-            trainable=e.get("trainable", True),
-            role=e.get("role", "static"),
-        )
-        if e.get("frozen", False):
+        value = np.frombuffer(raw, dtype=wire, count=count).reshape(e["shape"])
+        store.add(e["name"], value, trainable=e["trainable"], role=e["role"])
+        if e["frozen"]:
             frozen.append(e["name"])
     for name in frozen:
         store.freeze(name)

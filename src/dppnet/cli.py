@@ -143,17 +143,25 @@ def _example_id(ex: QAExample, index: int):
     return ex.meta.get("id", index)
 
 
-def _predict_dataset(checkpoint, examples):
+def _predict_answers(checkpoint, examples, choices_path=None):
+    """The checkpoint's answer per example, in input order.
+
+    With a choices file ({id, answers: [...]} lines) each argmax is restricted
+    to the example's listed answers; an example none of whose choices is in
+    the answer space gets None.
+    """
     rc, store, vocab, answers = mdl.load_model(checkpoint)
+    mask = None
+    if choices_path is not None:
+        mask = np.zeros((len(examples), len(answers)), dtype=bool)
+        for i, choices in enumerate(_load_predictions_file(choices_path, examples)):
+            for ch in choices:
+                idx = answers.class_of(str(ch))
+                if idx is not None:
+                    mask[i, idx] = True
     data = trainer.encode_dataset(examples, vocab, answers, rc.precision)
-    preds: list[str] = [""] * len(examples)
-    for rows in trainer.eval_batches(data, 256):
-        feats = data.features[rows]
-        tokens = np.asarray([data.token_ids[i] for i in rows], dtype=np.int64)
-        classes = mdl.predict_classes(rc.model, store, feats, tokens)
-        for i, cls_idx in zip(rows, classes):
-            preds[i] = answers.answer_of(int(cls_idx))
-    return preds
+    classes = mdl.predict_dataset(rc.model, store, data, mask)
+    return [answers.answer_of(int(c)) if c >= 0 else None for c in classes]
 
 
 def cmd_predict(args) -> int:
@@ -177,13 +185,15 @@ def cmd_predict(args) -> int:
         ]
     else:
         examples = load_jsonl(_resolve_data(args.data))
-    preds = _predict_dataset(args.checkpoint, examples)
+    preds = _predict_answers(args.checkpoint, examples)
     for i, (ex, answer) in enumerate(zip(examples, preds)):
         sys.stdout.write(json.dumps({"id": _example_id(ex, i), "answer": answer}) + "\n")
     return 0
 
 
 def _load_predictions_file(path, examples):
+    """Answer lists in example order from {id, answer} or {id, answers: [...]}
+    lines; the id, the answer and every listed answer are JSON scalars."""
     by_id = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -192,35 +202,22 @@ def _load_predictions_file(path, examples):
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise DataFormatError(f"{path}:{lineno}: invalid JSON ({e})") from e
+        if not isinstance(rec, dict):
+            raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
         if "id" not in rec or ("answer" not in rec and "answers" not in rec):
             raise DataFormatError(f"{path}:{lineno}: need id plus answer or answers")
-        by_id[rec["id"]] = rec.get("answers", [rec.get("answer")])
+        answers = rec.get("answers", [rec.get("answer")])
+        if not isinstance(answers, list) or not answers:
+            raise DataFormatError(f"{path}:{lineno}: answers must be a non-empty list")
+        if any(isinstance(v, (list, dict)) for v in (rec["id"], *answers)):
+            raise DataFormatError(f"{path}:{lineno}: id and answers must be JSON scalars")
+        by_id[rec["id"]] = answers
     preds = []
     for i, ex in enumerate(examples):
         key = _example_id(ex, i)
         if key not in by_id:
             raise DataFormatError(f"predictions file has no entry for example id {key!r}")
         preds.append(by_id[key])
-    return preds
-
-
-def _apply_choice_mask(checkpoint, examples, choices_path):
-    rc, store, vocab, answers = mdl.load_model(checkpoint)
-    choice_lists = _load_predictions_file(choices_path, examples)  # same wire shape
-    data = trainer.encode_dataset(examples, vocab, answers, rc.precision)
-    preds: list[str | None] = [None] * len(examples)
-    mask_all = np.zeros((len(examples), len(answers)), dtype=bool)
-    for i, choices in enumerate(choice_lists):
-        for ch in choices:
-            idx = answers.class_of(str(ch))
-            if idx is not None:
-                mask_all[i, idx] = True
-    for rows in trainer.eval_batches(data, 256):
-        feats = data.features[rows]
-        tokens = np.asarray([data.token_ids[i] for i in rows], dtype=np.int64)
-        classes = mdl.predict_classes(rc.model, store, feats, tokens, choice_mask=mask_all[rows])
-        for i, cls_idx in zip(rows, classes):
-            preds[i] = answers.answer_of(int(cls_idx)) if cls_idx >= 0 else None
     return preds
 
 
@@ -232,13 +229,9 @@ def cmd_eval(args) -> int:
         raise DataFormatError("evaluation dataset is empty")
     if args.predictions:
         pred_lists = _load_predictions_file(args.predictions, examples)
-    elif args.multiple_choice:
-        pred_lists = [
-            [p] if p is not None else []
-            for p in _apply_choice_mask(args.checkpoint, examples, args.multiple_choice)
-        ]
     else:
-        pred_lists = [[p] for p in _predict_dataset(args.checkpoint, examples)]
+        preds = _predict_answers(args.checkpoint, examples, args.multiple_choice)
+        pred_lists = [[p] if p is not None else [] for p in preds]
 
     single_preds = [p[0] if p else None for p in pred_lists]
     report = {

@@ -7,7 +7,7 @@ so any run can be re-executed exactly from its artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -15,6 +15,25 @@ from .hashing import DEFAULT_SEED_BUCKET, DEFAULT_SEED_SIGN, HashSpec
 from .tensor import PRECISIONS
 
 VARIANTS = ("dppnet", "concat", "cnn-fixed", "rand-gru")
+
+_TYPE_CHECKS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def _check_types(config) -> None:
+    """Every field holds its annotated type: an int field takes no bool or
+    float, a float field takes an int, and `X | None` also takes None.
+    Fields of other types (nested configs) are checked by their own class."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, alt = f.type.partition(" | ")
+        check = _TYPE_CHECKS.get(kind)
+        if check is not None and not (check(value) or (alt == "None" and value is None)):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -37,6 +56,7 @@ class ModelConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
+        _check_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         for name in ("adapter_hidden", "adapter_out", "dyn_out", "num_candidates",
@@ -81,6 +101,7 @@ class TrainSchedule:
     overfit_epochs: int = 2
 
     def __post_init__(self):
+        _check_types(self)
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
         if self.clip_threshold <= 0:
@@ -98,6 +119,7 @@ class RunConfig:
     pretrained_policy: str = "optional"  # none | optional | required
 
     def __post_init__(self):
+        _check_types(self)
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}")
         if self.pretrained_policy not in ("none", "optional", "required"):

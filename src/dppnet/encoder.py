@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import ParamStore, activation, matmul
 
 # Tests flip this on to assert gates stay strictly inside their open ranges;
@@ -284,15 +284,21 @@ ENCODER_PARAM_NAMES = ("embed.table", "gru.w_r", "gru.w_z", "gru.w_h", "gru.u_r"
 def load_pretrained(directory, required: bool = False):
     """Import embedding + GRU weights from a params checkpoint directory.
 
-    Returns (embedding table, GruParams, vocab dict or None).  Dimensions are
-    adopted from the file; internal inconsistencies are rejected with
-    specifics.
+    Returns (embedding table, GruParams, vocab dict or None), or None when no
+    directory is given or it holds no checkpoint and the encoder is optional;
+    a required one must be there.  A checkpoint that is there is always
+    validated: dimensions are adopted from the file, internal inconsistencies
+    are rejected with specifics.
     """
+    if directory is None:
+        if required:
+            raise ConfigError("pretrained_policy is 'required' but no encoder path given")
+        return None
     directory = Path(directory)
     if not (directory / checkpoint.MANIFEST_NAME).exists():
         if required:
             raise CheckpointError(f"pretrained encoder required but not found at {directory}")
-        raise CheckpointError(f"no encoder checkpoint at {directory}")
+        return None
     store = checkpoint.load_params(directory)
     missing = [n for n in ENCODER_PARAM_NAMES if n not in store]
     if missing:

@@ -236,6 +236,20 @@ def predict_classes(cfg: ModelConfig, store: ParamStore, features, tokens,
     return out
 
 
+def predict_dataset(cfg: ModelConfig, store: ParamStore, data, choice_mask=None) -> np.ndarray:
+    """predict_classes over an encoded dataset (features, token_ids), in input order.
+
+    One call per equal-length batch of at most 256 rows; choice_mask, when
+    given, is N x num_answers and is applied row for row.
+    """
+    out = np.empty(len(data.token_ids), dtype=np.int64)
+    for rows in length_batches(data.token_ids, 256):
+        tokens = np.asarray([data.token_ids[i] for i in rows], dtype=np.int64)
+        mask = None if choice_mask is None else choice_mask[rows]
+        out[rows] = predict_classes(cfg, store, data.features[rows], tokens, mask)
+    return out
+
+
 def count_trainable(cfg: ModelConfig) -> int:
     cfg.require_resolved()
     store = init_params(cfg, "f64", seed=0)

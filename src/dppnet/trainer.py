@@ -189,14 +189,9 @@ def _gather(data: EncodedDataset, rows: np.ndarray):
     return data.features[rows], tokens, data.targets[rows]
 
 
-def evaluate(cfg, store: ParamStore, data: EncodedDataset, batch_size: int = 256) -> float:
-    """Plain accuracy in eval mode; fixed example order, batch-size invariant."""
-    correct = 0
-    for rows in eval_batches(data, batch_size):
-        feats, tokens, targets = _gather(data, rows)
-        preds = mdl.predict_classes(cfg, store, feats, tokens)
-        correct += int((preds == targets).sum())
-    return correct / len(data.targets)
+def evaluate(cfg, store: ParamStore, data: EncodedDataset) -> float:
+    """Plain accuracy in eval mode, over model.predict_dataset's batches."""
+    return int((mdl.predict_dataset(cfg, store, data) == data.targets).sum()) / len(data.targets)
 
 
 @dataclass
@@ -236,25 +231,10 @@ def train(run_config: RunConfig, train_examples, val_examples,
     precision = run_config.precision
 
     pretrained = None
-    if (
-        run_config.pretrained_encoder is not None
-        and run_config.pretrained_policy != "none"
-        and cfg.variant != "rand-gru"
-    ):
-        from pathlib import Path
-
-        from . import checkpoint as ckpt
-
-        required = run_config.pretrained_policy == "required"
-        path = Path(run_config.pretrained_encoder)
-        if not (path / ckpt.MANIFEST_NAME).exists():
-            if required:
-                raise CheckpointError(f"pretrained encoder required but not found at {path}")
-            pretrained = None  # optional and absent: fall back to random init
-        else:
-            pretrained = load_pretrained(path, required=required)
-    elif run_config.pretrained_policy == "required" and cfg.variant != "rand-gru":
-        raise ConfigError("pretrained_policy is 'required' but no encoder path given")
+    if cfg.variant != "rand-gru" and run_config.pretrained_policy != "none":
+        pretrained = load_pretrained(
+            run_config.pretrained_encoder, required=run_config.pretrained_policy == "required"
+        )
 
     if pretrained is not None and pretrained[2] is not None:
         vocab = Vocabulary.from_mapping(pretrained[2])

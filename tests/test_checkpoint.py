@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppnet import checkpoint
-from dppnet.errors import CheckpointError
+from dppnet.errors import CheckpointError, DppnetError
 from dppnet.tensor import ParamStore
 
 
@@ -73,3 +75,140 @@ def test_manifest_offsets_are_contiguous(tmp_path):
     for entry in manifest["entries"]:
         assert entry["offset"] == offset
         offset += entry["nbytes"]
+
+
+def _manifest(tmp_path):
+    checkpoint.save_params(build_store(), tmp_path)
+    return json.loads((tmp_path / "manifest.json").read_text())
+
+
+def _write_manifest(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key", ["name", "offset", "nbytes", "shape", "dtype"])
+def test_entry_missing_key_named(tmp_path, key):
+    manifest = _manifest(tmp_path)
+    del manifest["entries"][1][key]
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(CheckpointError, match=f"entry 1 .*{key!r}"):
+        checkpoint.load_params(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("name", 7),
+        ("offset", "24"),
+        ("offset", 24.0),
+        ("offset", True),
+        ("offset", -1),
+        ("nbytes", -8),
+        ("nbytes", 2.5),
+        ("shape", 3),
+        ("shape", [3, "1"]),
+        ("shape", [3, -1]),
+        ("dtype", ["f64"]),
+        ("trainable", "yes"),
+        ("frozen", 1),
+        ("role", 0),
+    ],
+)
+def test_entry_bad_value_named(tmp_path, key, value):
+    manifest = _manifest(tmp_path)
+    manifest["entries"][1][key] = value
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(CheckpointError, match=f"entry 1 .*{key!r}"):
+        checkpoint.load_params(tmp_path)
+
+
+@pytest.mark.parametrize("entries", [None, {}, "a.w", [3]])
+def test_entries_must_be_a_list_of_objects(tmp_path, entries):
+    manifest = _manifest(tmp_path)
+    manifest["entries"] = entries
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(CheckpointError, match="entr"):
+        checkpoint.load_params(tmp_path)
+
+
+def test_missing_entries_key(tmp_path):
+    manifest = _manifest(tmp_path)
+    del manifest["entries"]
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(CheckpointError, match="'entries'"):
+        checkpoint.load_params(tmp_path)
+
+
+@pytest.mark.parametrize("manifest", [[], 5, "dppnet-params-v1"])
+def test_manifest_must_be_an_object(tmp_path, manifest):
+    _manifest(tmp_path)
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(CheckpointError, match="object"):
+        checkpoint.load_params(tmp_path)
+
+
+def test_entry_shape_must_match_nbytes(tmp_path):
+    manifest = _manifest(tmp_path)
+    manifest["entries"][0]["shape"] = [3, 5]  # 15 scalars in a 12-scalar slot
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(CheckpointError, match="'a.w'"):
+        checkpoint.load_params(tmp_path)
+
+
+def test_entry_past_the_blob_end(tmp_path):
+    manifest = _manifest(tmp_path)
+    manifest["entries"][2]["offset"] = 10_000
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(CheckpointError, match="'stats'"):
+        checkpoint.load_params(tmp_path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+_ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes", "trainable", "role", "frozen")
+
+
+@st.composite
+def _fuzzed_manifests(draw, valid):
+    """A valid manifest with entry keys and top-level keys deleted or replaced
+    by any JSON value, or the whole document replaced."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    manifest = json.loads(json.dumps(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        entry = manifest["entries"][draw(st.integers(0, len(manifest["entries"]) - 1))]
+        key = draw(st.sampled_from(_ENTRY_KEYS))
+        if draw(st.booleans()):
+            entry.pop(key, None)
+        else:
+            entry[key] = draw(_JSON)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(("format", "byte_order", "entries")))
+        if draw(st.booleans()):
+            manifest.pop(key)
+        else:
+            manifest[key] = draw(_JSON)
+    return manifest
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, _manifest(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifest_loads_or_raises_dppnet_error(fuzz_checkpoint, data):
+    root, valid = fuzz_checkpoint
+    _write_manifest(root, data.draw(_fuzzed_manifests(valid)))
+    try:
+        store = checkpoint.load_params(root)
+    except DppnetError:
+        return
+    assert isinstance(store, ParamStore)

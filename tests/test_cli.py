@@ -353,3 +353,91 @@ class TestBoundaryRejections:
         error = json.loads(err)["error"]
         assert error["type"] == "ConfigError"
         assert "--top-k" in error["message"]
+
+
+class TestPredictionsFileShape:
+    """--predictions and --multiple-choice read {id, answer} or
+    {id, answers: [...]} lines; anything else is a DataFormatError naming
+    the file and line."""
+
+    BAD_LINES = {
+        "not an object": "5",
+        "answers a string": '{"id": 1, "answers": "yes"}',
+        "answers empty": '{"id": 1, "answers": []}',
+        "answers nested": '{"id": 1, "answers": [["yes"]]}',
+        "answer a list": '{"id": 1, "answer": ["yes"]}',
+        "id a list": '{"id": [1], "answer": "yes"}',
+        "id an object": '{"id": {"n": 1}, "answer": "yes"}',
+    }
+
+    def _files(self, tmp_path, tiny_data_dir, bad):
+        lines = (tiny_data_dir / "test.jsonl").read_text().splitlines()[:2]
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        first = json.loads(lines[0])["answers"][0]
+        bad_file = tmp_path / "bad.jsonl"
+        bad_file.write_text(json.dumps({"id": 0, "answers": [first]}) + "\n" + bad + "\n")
+        return data, bad_file
+
+    @pytest.mark.parametrize("bad", list(BAD_LINES.values()), ids=list(BAD_LINES))
+    def test_predictions_flag_rejects(self, capsys, tmp_path, tiny_data_dir, bad):
+        data, preds = self._files(tmp_path, tiny_data_dir, bad)
+        code, out, err = run_cli(capsys, "eval", "--predictions", str(preds), "--data", str(data))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DataFormatError"
+        assert f"{preds}:2:" in error["message"]
+
+    @pytest.mark.parametrize("bad", list(BAD_LINES.values()), ids=list(BAD_LINES))
+    def test_multiple_choice_flag_rejects(self, capsys, tmp_path, tiny_data_dir,
+                                          tiny_checkpoint, bad):
+        data, choices = self._files(tmp_path, tiny_data_dir, bad)
+        code, out, err = run_cli(
+            capsys, "eval", "--checkpoint", str(tiny_checkpoint), "--data", str(data),
+            "--multiple-choice", str(choices),
+        )
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DataFormatError"
+        assert f"{choices}:2:" in error["message"]
+
+    def test_answer_and_answers_list_forms_agree(self, capsys, tmp_path, tiny_data_dir):
+        lines = (tiny_data_dir / "test.jsonl").read_text().splitlines()[:4]
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        truths = [json.loads(line)["answers"][0] for line in lines]
+        accuracies = []
+        for key, wrap in (("answer", lambda a: a), ("answers", lambda a: [a])):
+            preds = tmp_path / f"{key}.jsonl"
+            preds.write_text("".join(
+                json.dumps({"id": i, key: wrap(t)}) + "\n" for i, t in enumerate(truths)
+            ))
+            code, out, _ = run_cli(capsys, "eval", "--predictions", str(preds),
+                                   "--data", str(data))
+            assert code == 0
+            accuracies.append(json.loads(out)["plain_accuracy"])
+        assert accuracies == [1.0, 1.0]
+
+
+class TestCheckpointManifestThroughCli:
+    @pytest.mark.parametrize("key", ["offset", "shape", "nbytes"])
+    def test_predict_names_the_missing_key(self, capsys, tiny_data_dir, tiny_checkpoint,
+                                           tmp_path, key):
+        import shutil
+
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(tiny_checkpoint, ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["entries"][0][key]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(
+            capsys, "predict", "--checkpoint", str(ckpt),
+            "--data", str(tiny_data_dir / "test.jsonl"),
+        )
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "CheckpointError"
+        assert f"entry 0 ('adapter.w1') key {key!r}" in error["message"]

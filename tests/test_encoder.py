@@ -4,7 +4,7 @@ import pytest
 from fdutil import assert_fd_match
 
 from dppnet import checkpoint, encoder as enc
-from dppnet.errors import CheckpointError, ShapeError
+from dppnet.errors import CheckpointError, ConfigError, ShapeError
 from dppnet.tensor import ParamStore
 
 
@@ -461,3 +461,19 @@ class TestFusedGruMatchesPerGateReference:
         assert len(calls) == 1
         rz, h_bar = calls[0]
         assert rz.shape == (9, 3, 10) and h_bar.shape == (9, 3, 5)
+
+
+class TestPretrainedPolicy:
+    """load_pretrained owns the absent-checkpoint policy: optional gives None,
+    required raises."""
+
+    def test_absent_optional_is_none(self, tmp_path):
+        assert enc.load_pretrained(tmp_path / "nope") is None
+        assert enc.load_pretrained(tmp_path) is None  # a directory without a manifest
+
+    def test_no_path_optional_is_none(self):
+        assert enc.load_pretrained(None) is None
+
+    def test_no_path_required_is_config_error(self):
+        with pytest.raises(ConfigError, match="required"):
+            enc.load_pretrained(None, required=True)

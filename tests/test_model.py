@@ -351,3 +351,66 @@ class TestRetrievalBoundaries:
         ranked = mdl.retrieve_similar(toy_cfg, toy_store, vocab, "what color", corpus, 2)
         assert [r["similarity"] for r in ranked] == [0.0, 0.0]
         assert [r["index"] for r in ranked] == [0, 1]
+
+
+class TestPredictDataset:
+    """model.predict_dataset is the one batched prediction path: validation,
+    `dppnet eval`, `--multiple-choice` and `predict` all go through it."""
+
+    def dataset(self, cfg, rng):
+        # 300 questions of length 3 (two batches of at most 256), mixed in
+        # with other lengths so input order and bucket order differ
+        lengths = [3] * 300 + [1] * 7 + [5] * 40 + [9] * 2
+        lengths = [lengths[i] for i in rng.permutation(len(lengths))]
+        ids = [rng.integers(0, cfg.vocab_size, size=n).tolist() for n in lengths]
+        feats = rng.normal(size=(len(ids), cfg.feature_dim))
+        targets = rng.integers(0, cfg.num_answers, size=len(ids))
+        return trainer.EncodedDataset(features=feats, token_ids=ids, targets=targets)
+
+    def row_by_row(self, cfg, store, data, mask=None):
+        return np.array([
+            mdl.predict_classes(cfg, store, data.features[i : i + 1], [data.token_ids[i]],
+                                None if mask is None else mask[i : i + 1])[0]
+            for i in range(len(data.token_ids))
+        ])
+
+    def test_equals_row_by_row_in_input_order(self, toy_cfg, toy_store):
+        data = self.dataset(toy_cfg, np.random.default_rng(40))
+        got = mdl.predict_dataset(toy_cfg, toy_store, data)
+        assert len(set(got.tolist())) > 1
+        assert np.array_equal(got, self.row_by_row(toy_cfg, toy_store, data))
+
+    def test_choice_mask_row_by_row_and_empty_rows(self, toy_cfg, toy_store):
+        rng = np.random.default_rng(41)
+        data = self.dataset(toy_cfg, rng)
+        mask = rng.random((len(data.token_ids), toy_cfg.num_answers)) < 0.4
+        mask[::17] = False
+        got = mdl.predict_dataset(toy_cfg, toy_store, data, mask)
+        assert np.array_equal(got, self.row_by_row(toy_cfg, toy_store, data, mask))
+        assert (got[::17] == -1).all()
+        answered = np.flatnonzero(got >= 0)
+        assert len(answered) == (mask.any(axis=1)).sum()
+        assert mask[answered, got[answered]].all()
+
+    def test_one_predict_call_per_batch_of_at_most_256(self, toy_cfg, toy_store, monkeypatch):
+        sizes = []
+        real = mdl.predict_classes
+        monkeypatch.setattr(mdl, "predict_classes",
+                            lambda c, s, f, t, m=None: sizes.append(t.shape) or real(c, s, f, t, m))
+        data = self.dataset(toy_cfg, np.random.default_rng(42))
+        mdl.predict_dataset(toy_cfg, toy_store, data)
+        assert sorted(sizes) == [(2, 9), (7, 1), (40, 5), (44, 3), (256, 3)]
+
+    def test_evaluate_equals_the_batched_loop(self, toy_cfg, toy_store):
+        data = self.dataset(toy_cfg, np.random.default_rng(43))
+        # make about half the targets right so the accuracy is not trivial
+        preds = self.row_by_row(toy_cfg, toy_store, data)
+        data.targets[::2] = preds[::2]
+        correct = 0
+        for rows in trainer.eval_batches(data, 256):
+            tokens = np.asarray([data.token_ids[i] for i in rows], dtype=np.int64)
+            classes = mdl.predict_classes(toy_cfg, toy_store, data.features[rows], tokens)
+            correct += int((classes == data.targets[rows]).sum())
+        want = correct / len(data.targets)
+        assert 0.5 <= want < 1.0
+        assert trainer.evaluate(toy_cfg, toy_store, data) == want
