@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
+from .jsonio import read_json
 from .tensor import ParamStore
 
 MANIFEST_NAME = "manifest.json"
@@ -95,10 +96,7 @@ def load_params(directory) -> ParamStore:
         raise CheckpointError(f"missing manifest {manifest_path}")
     if not blob_path.exists():
         raise CheckpointError(f"missing parameter blob {blob_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"manifest {manifest_path} is not valid JSON: {e}") from e
+    manifest = read_json(manifest_path, CheckpointError)
     entries = _check_entries(manifest, manifest_path)
     if manifest.get("format") != _FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {manifest.get('format')!r}")

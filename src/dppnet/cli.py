@@ -23,6 +23,7 @@ from .data import (
     GenConfig, QAExample, generate_synthetic, load_jsonl, save_jsonl, validate_features,
 )
 from .errors import ConfigError, DataFormatError, DppnetError
+from .jsonio import read_json, read_jsonl
 from .tensor import PRECISIONS
 
 DATA_ROOT_ENV = "DPPNET_DATA_ROOT"
@@ -56,12 +57,19 @@ def _run_config(args) -> RunConfig:
     )
 
 
+def _gen_config(raw) -> GenConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("gen config must be a JSON object")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(GenConfig)}
+    if unknown:
+        raise ConfigError(f"unknown gen config keys: {sorted(unknown)}")
+    return GenConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+
+
 def cmd_gen(args) -> int:
     gen_cfg = GenConfig()
     if args.gen_config:
-        raw = json.loads(Path(args.gen_config).read_text())
-        raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-        gen_cfg = GenConfig(**raw)
+        gen_cfg = read_json(args.gen_config, ConfigError, _gen_config)
     seed = args.seed if args.seed is not None else 1
     splits = generate_synthetic(gen_cfg, seed)
     out = Path(args.out)
@@ -195,15 +203,7 @@ def _load_predictions_file(path, examples):
     """Answer lists in example order from {id, answer} or {id, answers: [...]}
     lines; the id, the answer and every listed answer are JSON scalars."""
     by_id = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({e})") from e
-        if not isinstance(rec, dict):
-            raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
+    for lineno, rec in read_jsonl(path):
         if "id" not in rec or ("answer" not in rec and "answers" not in rec):
             raise DataFormatError(f"{path}:{lineno}: need id plus answer or answers")
         answers = rec.get("answers", [rec.get("answer")])

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .hashing import DEFAULT_SEED_BUCKET, DEFAULT_SEED_SIGN, HashSpec
+from .jsonio import read_json
 from .tensor import PRECISIONS
 
 VARIANTS = ("dppnet", "concat", "cnn-fixed", "rand-gru")
@@ -130,6 +131,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         data = dict(data)
         model = ModelConfig(**data.pop("model", {}))
         train = TrainSchedule(**data.pop("train", {}))
@@ -143,10 +146,7 @@ class RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            return cls.from_dict(json.loads(path.read_text()))
-        except (TypeError, json.JSONDecodeError) as e:
-            raise ConfigError(f"config file {path} invalid: {e}") from e
+        return read_json(path, ConfigError, cls.from_dict)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))

@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _check_types
 from .errors import ConfigError, DataFormatError
+from .jsonio import read_jsonl
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -57,6 +59,10 @@ class Vocabulary:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "Vocabulary":
+        if not isinstance(mapping, dict) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in mapping.values()
+        ):
+            raise DataFormatError("vocabulary must map tokens to integer ids")
         vocab = cls([])
         for tok, idx in mapping.items():
             if tok == UNK_TOKEN:
@@ -93,6 +99,8 @@ class AnswerSpace:
 
     def __init__(self, answers):
         self._answers = list(answers)
+        if not all(isinstance(a, str) for a in self._answers):
+            raise DataFormatError("answer classes must be strings")
         self._index = {a: i for i, a in enumerate(self._answers)}
         if len(self._index) != len(self._answers):
             raise DataFormatError("duplicate answer class")
@@ -199,37 +207,29 @@ def load_jsonl(path) -> list[QAExample]:
         raise DataFormatError(f"dataset file not found: {path}")
     examples: list[QAExample] = []
     feature_dim = None
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            for key in ("features", "question", "answers"):
-                if key not in rec:
-                    raise DataFormatError(f"{path}:{lineno}: missing field {key!r}")
-            feats = validate_features(rec["features"], f"{path}:{lineno}")
-            if feature_dim is None:
-                feature_dim = len(feats)
-            elif len(feats) != feature_dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: feature length {len(feats)} != {feature_dim} "
-                    f"established earlier in the file"
-                )
-            if not isinstance(rec["answers"], list) or not rec["answers"]:
-                raise DataFormatError(f"{path}:{lineno}: answers must be a nonempty list")
-            meta = {k: v for k, v in rec.items() if k not in ("features", "question", "answers")}
-            examples.append(
-                QAExample(
-                    features=feats,
-                    question=str(rec["question"]),
-                    answers=[str(a) for a in rec["answers"]],
-                    meta=meta,
-                )
+    for lineno, rec in read_jsonl(path):
+        for key in ("features", "question", "answers"):
+            if key not in rec:
+                raise DataFormatError(f"{path}:{lineno}: missing field {key!r}")
+        feats = validate_features(rec["features"], f"{path}:{lineno}")
+        if feature_dim is None:
+            feature_dim = len(feats)
+        elif len(feats) != feature_dim:
+            raise DataFormatError(
+                f"{path}:{lineno}: feature length {len(feats)} != {feature_dim} "
+                f"established earlier in the file"
             )
+        if not isinstance(rec["answers"], list) or not rec["answers"]:
+            raise DataFormatError(f"{path}:{lineno}: answers must be a nonempty list")
+        meta = {k: v for k, v in rec.items() if k not in ("features", "question", "answers")}
+        examples.append(
+            QAExample(
+                features=feats,
+                question=str(rec["question"]),
+                answers=[str(a) for a in rec["answers"]],
+                meta=meta,
+            )
+        )
     return examples
 
 
@@ -254,6 +254,7 @@ class GenConfig:
     n_test: int = 500
 
     def __post_init__(self):
+        _check_types(self)
         if self.slots > len(self.shapes):
             raise ConfigError(
                 f"{self.slots} slots need {self.slots} distinct shapes, "

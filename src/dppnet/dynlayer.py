@@ -6,10 +6,14 @@ vector comes from the question encoder.  Forward and backward walk the
 batch x out_dim plane in blocks of at most hashing.BLOCK_BUDGET gathered
 weights (at least one output row for the whole batch), so transient memory
 stays O(BLOCK_BUDGET + batch * (in + out + candidates)) however large
-out_dim * in_dim grows.  A grid of at most hashing.CACHE_LIMIT entries is
-hashed once per HashSpec and kept read-only (up to hashing.CACHE_SPECS specs);
-a larger grid is hashed block by block on every call.  materialize_weights
-exists only as a test and diagnostic oracle.
+out_dim * in_dim grows.  The layer reads one signed-bucket code per
+position (hashing.SpecCodes, code = bucket + K * (sign < 0)): forward and
+the d_features half of backward gather signed weights straight from a
+per-tile table [p, p * -1.0] by code, and the d_candidates sums decode
+bucket and sign from it.  The codes of a spec are hashed once and kept
+while every cached spec fits hashing.CACHE_BYTES; a spec that does not fit
+is hashed block by block on every call.  materialize_weights exists only as
+a test and diagnostic oracle.
 """
 
 from __future__ import annotations
@@ -37,28 +41,40 @@ def _as_batch(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _tiles(spec: HashSpec, batch: int):
-    """Yield (batch rows, lo, hi, buckets, signs) blocks covering batch x out_dim.
+def _tiles(codes: hashing.SpecCodes, p: np.ndarray, decode: bool):
+    """Yield (batch rows, signed table, lo, hi, codes, *decoded) blocks covering batch x out_dim.
 
-    A cached grid is taken whole and the batch split to fit the budget, so a
-    batch row's bucket sums come from one block and need no carry.  A larger
-    grid is split over output rows for the whole batch, so each of its hash
-    blocks is computed once per call.
+    The signed table of a tile is [p, p * -1.0] per batch row, so code c
+    gathers the signed weight table[:, c], the same IEEE product as
+    p[bucket] * sign.  With decode, each block also carries its int64
+    buckets and f64 signs.  A grid that fits one block is taken whole and
+    decoded once, and the batch split to fit the budget, so a batch row's
+    bucket sums come from one block and need no carry.  A larger grid is
+    split over output rows for the whole batch, under one table.
     """
+    if not len(p):
+        return
+    spec = codes.spec
     grid = spec.out_dim * spec.in_dim
-    width = batch if grid > hashing.CACHE_LIMIT else hashing.BLOCK_BUDGET // grid
-    width = max(1, min(batch, width))
-    for b0 in range(0, batch, width):
+    if grid > hashing.BLOCK_BUDGET:
+        table = _signed_table(p)
+        for lo, hi, block in codes.blocks(len(p)):
+            yield (slice(None), table, lo, hi, block, *_decoded(codes, block, decode))
+        return
+    width = hashing.BLOCK_BUDGET // grid
+    (lo, hi, block), = codes.blocks(width)
+    decoded = _decoded(codes, block, decode)
+    for b0 in range(0, len(p), width):
         rows = slice(b0, b0 + width)
-        for block in hashing.row_blocks(spec, width):
-            yield (rows, *block)
+        yield (rows, _signed_table(p[rows]), lo, hi, block, *decoded)
 
 
-def _weights(p: np.ndarray, buckets: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Signed weights of one block, (batch, rows, in_dim), gathered from p."""
-    w = np.take(p, buckets, axis=1)
-    w *= signs
-    return w
+def _signed_table(p: np.ndarray) -> np.ndarray:
+    return np.concatenate([p, p * -1.0], axis=1)
+
+
+def _decoded(codes: hashing.SpecCodes, block: np.ndarray, decode: bool) -> tuple:
+    return (codes.buckets.take(block), codes.signs.take(block)) if decode else ()
 
 
 def _bucket_sums(x, dm, buckets, signs, k: int, carry) -> np.ndarray:
@@ -94,8 +110,8 @@ def dyn_forward(features, candidates, bias: np.ndarray, spec: HashSpec) -> np.nd
     if bias.shape != (spec.out_dim,):
         raise ShapeError(f"bias shape {bias.shape} != ({spec.out_dim},)")
     out = np.empty((x.shape[0], spec.out_dim), dtype=x.dtype)
-    for rows, lo, hi, buckets, signs in _tiles(spec, x.shape[0]):
-        out[rows, lo:hi] = np.einsum("bmn,bn->bm", _weights(p[rows], buckets, signs), x[rows])
+    for rows, table, lo, hi, block in _tiles(hashing.spec_codes(spec), p, decode=False):
+        out[rows, lo:hi] = np.einsum("bmn,bn->bm", table.take(block, axis=1), x[rows])
     out += bias
     return out[0] if (single_x and single_p) else out
 
@@ -117,12 +133,15 @@ def dyn_backward(features, candidates, d_out, spec: HashSpec):
         )
     dx = np.zeros_like(x)
     dp = np.zeros(p.shape)
-    for rows, lo, hi, buckets, signs in _tiles(spec, b):
+    for rows, table, lo, hi, block, buckets, signs in _tiles(
+            hashing.spec_codes(spec), p, decode=True):
         dm = d[rows, lo:hi]
-        dx[rows] += np.einsum("bmn,bm->bn", _weights(p[rows], buckets, signs), dm)
+        dx[rows] += np.einsum("bmn,bm->bn", table.take(block, axis=1), dm)
+        del table  # a one-block tile's table goes before its bucket sums are formed
         dp[rows] = _bucket_sums(
             x[rows], dm, buckets, signs, spec.num_candidates, dp[rows] if lo else None
         )
+        del buckets, signs  # and a row block's codes before the next one is decoded
     dp = dp.astype(p.dtype, copy=False)
     db = d.sum(axis=0)
     if single_x and single_p and single_d:

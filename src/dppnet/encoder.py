@@ -23,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
+from .data import Vocabulary
 from .errors import CheckpointError, ConfigError, ShapeError
+from .jsonio import read_json
 from .tensor import ParamStore, activation, matmul
 
 # Tests flip this on to assert gates stay strictly inside their open ranges;
@@ -284,7 +286,7 @@ ENCODER_PARAM_NAMES = ("embed.table", "gru.w_r", "gru.w_z", "gru.w_h", "gru.u_r"
 def load_pretrained(directory, required: bool = False):
     """Import embedding + GRU weights from a params checkpoint directory.
 
-    Returns (embedding table, GruParams, vocab dict or None), or None when no
+    Returns (embedding table, GruParams, Vocabulary or None), or None when no
     directory is given or it holds no checkpoint and the encoder is optional;
     a required one must be there.  A checkpoint that is there is always
     validated: dimensions are adopted from the file, internal inconsistencies
@@ -313,7 +315,5 @@ def load_pretrained(directory, required: bool = False):
     vocab = None
     vocab_path = directory / "vocab.json"
     if vocab_path.exists():
-        import json
-
-        vocab = json.loads(vocab_path.read_text())
+        vocab = read_json(vocab_path, CheckpointError, Vocabulary.from_mapping)
     return table, params, vocab

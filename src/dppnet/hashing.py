@@ -5,6 +5,14 @@ Each position ``(m, n)`` is mapped to one of ``num_candidates`` buckets by a
 bucket hash, and to a sign in ``{+1, -1}`` by an independent sign hash.  Both
 are built on the SplitMix64 finalizer so that every run, thread, and platform
 produces bit-identical assignments.
+
+The dynamic layer reads both as one code per position, code = bucket +
+K * (sign < 0), in the smallest unsigned dtype that holds 2K - 1 (one byte up
+to K = 128).  The codes of a spec are hashed once and kept, read-only, while
+all cached specs fit CACHE_BYTES together (oldest evicted first): that is the
+persistent memory of hashing.  A spec too large for the budget is hashed
+block by block on every pass, its transient memory bounded by BLOCK_BUDGET
+like every other blocked loop.
 """
 
 from __future__ import annotations
@@ -116,39 +124,95 @@ def sign_row(m: int, spec: HashSpec, stop: int | None = None) -> np.ndarray:
 # Entries (batch rows x output rows x in_dim) one block may touch: it bounds
 # the gathered weights and the uint64 hash temporaries of every blocked loop.
 BLOCK_BUDGET = 1 << 15
-# A grid that fits one block is hashed once per spec and kept, read-only;
-# larger grids are hashed block by block on every pass.
-CACHE_LIMIT = BLOCK_BUDGET
-CACHE_SPECS = 8
-_grid_cache: dict[HashSpec, tuple[np.ndarray, np.ndarray]] = {}
+# Bytes of codes and lookup tables that every cached spec shares; the oldest
+# spec is evicted first.  A spec that does not fit alone is hashed block by
+# block on every pass.
+CACHE_BYTES = 1 << 21
+_grid_cache: dict[HashSpec, SpecCodes] = {}
 
 
-def _grids(spec: HashSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buckets and signs of rows lo..hi-1, from the spec cache when it applies."""
-    if spec.out_dim * spec.in_dim > CACHE_LIMIT:
-        return bucket_row(lo, spec, hi), sign_row(lo, spec, hi)
-    grids = _grid_cache.get(spec)
-    if grids is None:
-        grids = (bucket_row(0, spec, spec.out_dim), sign_row(0, spec, spec.out_dim))
-        for g in grids:
-            g.setflags(write=False)
-        if len(_grid_cache) >= CACHE_SPECS:
-            del _grid_cache[next(iter(_grid_cache))]
-        _grid_cache[spec] = grids
-    return grids[0][lo:hi], grids[1][lo:hi]
+def _hash_codes(spec: HashSpec, lo: int, hi: int) -> np.ndarray:
+    """int64 codes bucket + K * (sign < 0) of rows lo..hi-1."""
+    codes = bucket_row(lo, spec, hi)
+    np.add(codes, spec.num_candidates, out=codes, where=sign_row(lo, spec, hi) < 0)
+    return codes
+
+
+@dataclass(frozen=True, eq=False)
+class SpecCodes:
+    """One signed-bucket code per grid position: code = bucket + K * (sign < 0).
+
+    buckets and signs map a code to its int64 bucket and f64 sign.  grid
+    holds the whole read-only code grid when the spec is cached, in the
+    smallest unsigned dtype that holds 2K - 1 (uint8 up to K = 128).
+    """
+
+    spec: HashSpec
+    buckets: np.ndarray
+    signs: np.ndarray
+    grid: np.ndarray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        grid = 0 if self.grid is None else self.grid.nbytes
+        return grid + self.buckets.nbytes + self.signs.nbytes
+
+    def blocks(self, batch: int = 1):
+        """Yield (lo, hi, codes) over all output rows, in order.
+
+        Each block holds as many rows as keep batch * rows * in_dim within
+        BLOCK_BUDGET, and at least one; codes is a (hi - lo, in_dim) array,
+        a read-only view of the grid when the spec is cached and freshly
+        hashed int64 codes otherwise.
+        """
+        spec = self.spec
+        rows = max(1, BLOCK_BUDGET // (batch * spec.in_dim))
+        for lo in range(0, spec.out_dim, rows):
+            hi = min(lo + rows, spec.out_dim)
+            if self.grid is None:
+                yield lo, hi, _hash_codes(spec, lo, hi)
+            else:
+                yield lo, hi, self.grid[lo:hi]
+
+
+def spec_codes(spec: HashSpec) -> SpecCodes:
+    """The codes of spec, hashed once and cached when they fit CACHE_BYTES."""
+    hit = _grid_cache.get(spec)
+    if hit is not None:
+        return hit
+    k = spec.num_candidates
+    dtype = np.min_scalar_type(2 * k - 1)
+    buckets = np.arange(2 * k, dtype=np.int64) % k
+    signs = np.repeat([1.0, -1.0], k)
+    size = spec.out_dim * spec.in_dim * dtype.itemsize + buckets.nbytes + signs.nbytes
+    if size > CACHE_BYTES:
+        return SpecCodes(spec, buckets, signs)
+    grid = np.empty((spec.out_dim, spec.in_dim), dtype=dtype)
+    step = max(1, BLOCK_BUDGET // spec.in_dim)
+    for lo in range(0, spec.out_dim, step):
+        hi = min(lo + step, spec.out_dim)
+        grid[lo:hi] = _hash_codes(spec, lo, hi)
+    for array in (grid, buckets, signs):
+        array.setflags(write=False)
+    used = sum(c.nbytes for c in _grid_cache.values())
+    while used + size > CACHE_BYTES:
+        used -= _grid_cache.pop(next(iter(_grid_cache))).nbytes
+    codes = _grid_cache[spec] = SpecCodes(spec, buckets, signs, grid)
+    return codes
 
 
 def row_blocks(spec: HashSpec, batch: int = 1):
-    """Yield (lo, hi, buckets, signs) over all output rows, in order.
+    """Yield (lo, hi, buckets, signs) over the blocks of SpecCodes.blocks.
 
-    Each block holds as many rows as keep batch * rows * in_dim within
-    BLOCK_BUDGET, and at least one.  buckets is an int64 and signs an int8
-    (hi - lo, in_dim) array; both may be read-only views of the spec cache.
+    The decoded, read-only view of the codes: buckets is an int64 and signs
+    an int8 (hi - lo, in_dim) array.
     """
-    rows = max(1, BLOCK_BUDGET // (batch * spec.in_dim))
-    for lo in range(0, spec.out_dim, rows):
-        hi = min(lo + rows, spec.out_dim)
-        yield (lo, hi, *_grids(spec, lo, hi))
+    codes = spec_codes(spec)
+    for lo, hi, block in codes.blocks(batch):
+        buckets, signs = codes.buckets[block], codes.signs[block].astype(np.int8)
+        buckets.setflags(write=False)
+        signs.setflags(write=False)
+        yield lo, hi, buckets, signs
 
 
 def bucket_grid(spec: HashSpec) -> np.ndarray:

@@ -20,6 +20,7 @@ from .config import ModelConfig, RunConfig
 from .data import AnswerSpace, Vocabulary, length_batches
 from .dynlayer import dyn_backward, dyn_forward
 from .errors import CheckpointError, ConfigError, ShapeError
+from .jsonio import read_json
 from .tensor import (
     BatchNormState,
     ParamStore,
@@ -337,8 +338,8 @@ def load_model(directory):
             raise CheckpointError(f"checkpoint {directory} missing {name}")
     run_config = RunConfig.from_file(directory / CONFIG_NAME)
     store = ckpt.load_params(directory)
-    vocab = Vocabulary.from_mapping(json.loads((directory / VOCAB_NAME).read_text()))
-    answers = AnswerSpace(json.loads((directory / ANSWERS_NAME).read_text()))
+    vocab = read_json(directory / VOCAB_NAME, CheckpointError, Vocabulary.from_mapping)
+    answers = read_json(directory / ANSWERS_NAME, CheckpointError, AnswerSpace)
     cfg = run_config.model
     if cfg.num_answers != len(answers):
         raise CheckpointError(

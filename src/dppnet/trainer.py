@@ -237,7 +237,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
         )
 
     if pretrained is not None and pretrained[2] is not None:
-        vocab = Vocabulary.from_mapping(pretrained[2])
+        vocab = pretrained[2]
         answers = AnswerSpace.from_examples(train_examples)
     else:
         vocab, answers = build_vocab(train_examples)

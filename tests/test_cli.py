@@ -441,3 +441,97 @@ class TestCheckpointManifestThroughCli:
         error = json.loads(err)["error"]
         assert error["type"] == "CheckpointError"
         assert f"entry 0 ('adapter.w1') key {key!r}" in error["message"]
+
+
+class TestJsonFilesThroughCli:
+    """Every JSON or JSONL file a subcommand reads fails with a typed error
+    naming the file (and the line, for JSONL), never with a traceback."""
+
+    NOT_UTF8 = b"\xff\xfe{\x00}\x00\n"
+
+    def _error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        return json.loads(err)["error"]
+
+    def _predictions(self, tmp_path, tiny_data_dir):
+        lines = (tiny_data_dir / "test.jsonl").read_text().splitlines()[:2]
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        preds = tmp_path / "p.jsonl"
+        preds.write_text("".join(
+            json.dumps({"id": i, "answer": "yes"}) + "\n" for i in range(2)
+        ))
+        return data, preds
+
+    @pytest.mark.parametrize("bad", [b"5\n", b'["features"]\n', NOT_UTF8],
+                             ids=["number", "list", "not utf-8"])
+    def test_data_file(self, capsys, tmp_path, tiny_data_dir, bad):
+        _, preds = self._predictions(tmp_path, tiny_data_dir)
+        data = tmp_path / "bad.jsonl"
+        data.write_bytes(bad)
+        error = self._error(capsys, "eval", "--predictions", str(preds), "--data", str(data))
+        assert error["type"] == "DataFormatError"
+        assert f"{data}:1:" in error["message"]
+
+    @pytest.mark.parametrize("flag", ["--predictions", "--multiple-choice"])
+    def test_predictions_and_choices_not_utf8(self, capsys, tmp_path, tiny_data_dir,
+                                              tiny_checkpoint, flag):
+        data, _ = self._predictions(tmp_path, tiny_data_dir)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": 0, "answer": "yes"}\n' + self.NOT_UTF8)
+        model = ["--checkpoint", str(tiny_checkpoint)] if flag == "--multiple-choice" else []
+        error = self._error(capsys, "eval", *model, "--data", str(data), flag, str(bad))
+        assert error["type"] == "DataFormatError"
+        assert f"{bad}:2:" in error["message"]
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"n_trian": 5}', "n_trian"),
+        ("{not json", "gen.json"),
+        ("[1, 2]", "gen.json"),
+        ('{"n_train": "many"}', "n_train"),
+    ], ids=["unknown key", "invalid JSON", "not an object", "wrong type"])
+    def test_gen_config(self, capsys, tmp_path, text, named):
+        gc = tmp_path / "gen.json"
+        gc.write_text(text)
+        error = self._error(capsys, "gen", "--out", str(tmp_path / "d"), "--gen-config", str(gc))
+        assert error["type"] == "ConfigError"
+        assert named in error["message"]
+
+    def test_gen_config_not_utf8(self, capsys, tmp_path):
+        gc = tmp_path / "gen.json"
+        gc.write_bytes(self.NOT_UTF8)
+        error = self._error(capsys, "gen", "--out", str(tmp_path / "d"), "--gen-config", str(gc))
+        assert error["type"] == "ConfigError"
+        assert str(gc) in error["message"]
+
+    @pytest.mark.parametrize("name", ["vocab.json", "answers.json"])
+    @pytest.mark.parametrize("text", ["{not json", "5"], ids=["invalid JSON", "wrong type"])
+    def test_checkpoint_vocab_and_answers(self, capsys, tmp_path, tiny_data_dir,
+                                          tiny_checkpoint, name, text):
+        import shutil
+
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(tiny_checkpoint, ckpt)
+        (ckpt / name).write_text(text)
+        error = self._error(capsys, "predict", "--checkpoint", str(ckpt),
+                            "--data", str(tiny_data_dir / "test.jsonl"))
+        assert error["type"] == "CheckpointError"
+        assert str(ckpt / name) in error["message"]
+
+    @pytest.mark.parametrize("text", ["{not json", "[1]", '{"a": "b"}'],
+                             ids=["invalid JSON", "not an object", "non-integer id"])
+    def test_pretrained_encoder_vocab(self, capsys, tmp_path, tiny_data_dir,
+                                      tiny_checkpoint, text):
+        import shutil
+
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(tiny_checkpoint, ckpt)
+        (ckpt / "vocab.json").write_text(text)
+        error = self._error(
+            capsys, "train", "--data", str(tiny_data_dir), "--out", str(tmp_path / "run"),
+            "--pretrained-encoder", str(ckpt),
+        )
+        assert error["type"] == "CheckpointError"
+        assert str(ckpt / "vocab.json") in error["message"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fdutil import assert_fd_match
 
-from dppnet import hashing
+from dppnet import dynlayer, hashing
 from dppnet.dynlayer import dyn_backward, dyn_forward, materialize_weights
 from dppnet.errors import ShapeError
 from dppnet.hashing import HashSpec
@@ -251,6 +251,12 @@ def check_against_dense(spec, x, p, bias, d_out):
     assert np.array_equal(db, d_out.sum(axis=0))
 
 
+def code_bytes(spec):
+    """Bytes a cached spec takes: its code grid plus the int64 bucket and f64 sign of each code."""
+    k = spec.num_candidates
+    return spec.out_dim * spec.in_dim * np.min_scalar_type(2 * k - 1).itemsize + 2 * k * 16
+
+
 @st.composite
 def blocked_instances(draw):
     seeds = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=2, max_size=2, unique=True))
@@ -264,23 +270,24 @@ def blocked_instances(draw):
     batch = draw(st.sampled_from([1, 2, 3, 256]))
     # small budgets put block boundaries inside the grid and inside the batch
     budget = draw(st.sampled_from([1, 5, 16, 64, 500, hashing.BLOCK_BUDGET]))
-    # grids above the limit stream their hashes; at or below it they are cached
-    cache_limit = draw(st.sampled_from([0, spec.out_dim * spec.in_dim, hashing.CACHE_LIMIT]))
-    return spec, batch, budget, cache_limit, draw(st.integers(0, 2**32 - 1))
+    # specs above the byte budget stream their codes; at or below it they are cached
+    cache_bytes = draw(st.sampled_from([0, code_bytes(spec), hashing.CACHE_BYTES]))
+    return spec, batch, budget, cache_bytes, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=100, deadline=None)
 @given(blocked_instances())
 def test_blocked_layer_matches_dense_and_row_major(instance):
-    spec, batch, budget, cache_limit, seed = instance
+    spec, batch, budget, cache_bytes, seed = instance
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(batch, spec.in_dim))
     p = rng.normal(size=(batch, spec.num_candidates))
     bias = rng.normal(size=spec.out_dim)
     d_out = rng.normal(size=(batch, spec.out_dim))
-    with mock.patch.multiple(hashing, BLOCK_BUDGET=budget, CACHE_LIMIT=cache_limit), \
+    with mock.patch.multiple(hashing, BLOCK_BUDGET=budget, CACHE_BYTES=cache_bytes), \
             mock.patch.dict(hashing._grid_cache, clear=True):
         check_against_dense(spec, x, p, bias, d_out)
+        assert (spec in hashing._grid_cache) == (cache_bytes > 0)
         out32 = dyn_forward(x.astype(np.float32), p.astype(np.float32), bias.astype(np.float32), spec)
         grads32 = dyn_backward(x.astype(np.float32), p.astype(np.float32),
                                d_out.astype(np.float32), spec)
@@ -291,16 +298,19 @@ def test_blocked_layer_matches_dense_and_row_major(instance):
         np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4)
 
 
-def test_default_budget_splits_a_streamed_grid_mid_way():
-    # 200 x 180 is above the cache limit; one batch row fits 182 output rows
+def test_default_budget_splits_a_streamed_grid_mid_way(monkeypatch):
+    # 200 x 180 is above the block budget; one batch row fits 182 output rows
     spec = HashSpec(out_dim=200, in_dim=180, num_candidates=16)
-    assert spec.out_dim * spec.in_dim > hashing.CACHE_LIMIT
+    assert spec.out_dim * spec.in_dim > hashing.BLOCK_BUDGET
     assert hashing.BLOCK_BUDGET // spec.in_dim < spec.out_dim
+    monkeypatch.setattr(hashing, "_grid_cache", {})
     rng = np.random.default_rng(9)
-    check_against_dense(
-        spec, rng.normal(size=(1, 180)), rng.normal(size=(1, 16)),
-        rng.normal(size=200), rng.normal(size=(1, 200)),
-    )
+    args = (rng.normal(size=(1, 180)), rng.normal(size=(1, 16)),
+            rng.normal(size=200), rng.normal(size=(1, 200)))
+    for cache_bytes in (0, hashing.CACHE_BYTES):  # codes hashed per block, then cached
+        monkeypatch.setattr(hashing, "CACHE_BYTES", cache_bytes)
+        check_against_dense(spec, *args)
+        assert (spec in hashing._grid_cache) == (cache_bytes > 0)
 
 
 def _counting_bucket_row(monkeypatch):
@@ -331,7 +341,8 @@ def test_cached_spec_is_hashed_once(monkeypatch):
 
 def test_spec_above_cache_limit_is_not_cached(monkeypatch):
     spec = HashSpec(out_dim=200, in_dim=200, num_candidates=8)
-    assert spec.out_dim * spec.in_dim > hashing.CACHE_LIMIT
+    monkeypatch.setattr(hashing, "CACHE_BYTES", code_bytes(spec) - 1)
+    monkeypatch.setattr(hashing, "_grid_cache", {})
     calls = _counting_bucket_row(monkeypatch)
     rng = np.random.default_rng(11)
     dyn_forward(rng.normal(size=(2, 200)), rng.normal(size=(2, 8)), np.zeros(200), spec)
@@ -342,13 +353,17 @@ def test_spec_above_cache_limit_is_not_cached(monkeypatch):
     assert spec not in hashing._grid_cache
 
 
-def test_spec_cache_is_bounded():
-    specs = [HashSpec(out_dim=2, in_dim=3, num_candidates=2 + i) for i in range(hashing.CACHE_SPECS + 3)]
-    x = np.ones((1, 3))
+def test_spec_cache_is_bounded(monkeypatch):
+    # eleven 256 KiB code grids against a 2 MiB budget
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    specs = [HashSpec(out_dim=256, in_dim=1024, num_candidates=2 + i) for i in range(11)]
+    assert sum(code_bytes(spec) for spec in specs) > hashing.CACHE_BYTES
+    x = np.ones((1, 1024))
     for spec in specs:
-        dyn_forward(x, np.ones((1, spec.num_candidates)), np.zeros(2), spec)
-    assert len(hashing._grid_cache) <= hashing.CACHE_SPECS
+        dyn_forward(x, np.ones((1, spec.num_candidates)), np.zeros(256), spec)
+    assert sum(codes.nbytes for codes in hashing._grid_cache.values()) <= hashing.CACHE_BYTES
     assert specs[-1] in hashing._grid_cache
+    assert specs[0] not in hashing._grid_cache
 
 
 def test_eval_batch_transient_memory_stays_within_block_budget():
@@ -385,3 +400,77 @@ def test_empty_batch(out_dim):
     dx, dp, db = dyn_backward(np.zeros((0, 200)), np.zeros((0, 3)), np.zeros((0, out_dim)), spec)
     assert out.shape == (0, out_dim) and dx.shape == (0, 200) and dp.shape == (0, 3)
     assert np.array_equal(db, np.zeros(out_dim))
+
+
+# --- signed-bucket code cache ------------------------------------------------
+
+WIDE = HashSpec(out_dim=1024, in_dim=1024, num_candidates=8)
+
+
+def test_wide_spec_is_hashed_once(monkeypatch):
+    # the 1024 x 1024, K=8 grid fits the byte budget as one uint8 code per position
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    calls = _counting_bucket_row(monkeypatch)
+    rng = np.random.default_rng(13)
+    x, p, d = rng.normal(size=(32, 1024)), rng.normal(size=(32, 8)), rng.normal(size=(32, 1024))
+    dyn_forward(x, p, np.zeros(1024), WIDE)
+    first = len(calls)
+    assert first > 0
+    dyn_backward(x, p, d, WIDE)
+    dyn_forward(x, p, np.zeros(1024), WIDE)
+    assert len(calls) == first
+    codes = hashing._grid_cache[WIDE]
+    assert codes.grid.dtype == np.uint8 and codes.grid.nbytes == 1 << 20
+    assert codes.nbytes <= hashing.CACHE_BYTES
+
+
+def sequential_dp(x, d_out, buckets, signs, k):
+    """d_candidates added one position at a time in row-major order (np.add.at
+    is unbuffered and applies its updates in index order)."""
+    dp = np.zeros((len(x), k))
+    for b in range(len(x)):
+        terms = (x[b][None, :] * d_out[b][:, None]).astype(np.float64) * signs
+        np.add.at(dp[b], buckets.ravel(), terms.ravel())
+    return dp
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_wide_layer_matches_dense_at_full_size(dtype):
+    spec = WIDE
+    assert spec.out_dim * spec.in_dim == dynlayer.MATERIALIZE_LIMIT  # the guard admits it
+    buckets = hashing.bucket_row(0, spec, spec.out_dim)
+    signs = hashing.sign_row(0, spec, spec.out_dim)
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(2, 1024)).astype(dtype)
+    p = rng.normal(size=(2, 8)).astype(dtype)
+    bias = rng.normal(size=1024).astype(dtype)
+    d = rng.normal(size=(2, 1024)).astype(dtype)
+    w = np.stack([materialize_weights(row, spec) for row in p])
+    assert np.array_equal(w, np.take(p, buckets, axis=1) * signs)
+    tol = 1e-12 if dtype == np.float64 else 1e-4
+    out = dyn_forward(x, p, bias, spec)
+    np.testing.assert_allclose(out, (w @ x[:, :, None])[..., 0] + bias, rtol=tol, atol=tol)
+    dx, dp, db = dyn_backward(x, p, d, spec)
+    np.testing.assert_allclose(dx, (d[:, None, :] @ w)[:, 0], rtol=tol, atol=tol)
+    assert out.dtype == dx.dtype == dp.dtype == dtype
+    # f32 products are formed in f32 and summed in f64, then rounded once
+    assert np.array_equal(dp, sequential_dp(x, d, buckets, signs, 8).astype(dtype))
+    assert np.array_equal(db, d.sum(axis=0))
+
+
+def test_nonfinite_candidates_give_the_bits_of_take_times_sign():
+    spec = HashSpec(out_dim=6, in_dim=9, num_candidates=5)
+    rng = np.random.default_rng(15)
+    x, d = rng.normal(size=(3, 9)), rng.normal(size=(3, 6))
+    p = rng.normal(size=(3, 5))
+    p[0, 1], p[1, 2], p[1, 3], p[2, 0] = np.nan, np.inf, -np.inf, np.copysign(np.nan, -1)
+    bias = rng.normal(size=6)
+    w = np.take(p, hashing.bucket_grid(spec), axis=1) * hashing.sign_grid(spec)
+    with np.errstate(invalid="ignore"):
+        out = dyn_forward(x, p, bias, spec)
+        dx, _, _ = dyn_backward(x, p, d, spec)
+        out_ref = np.einsum("bmn,bn->bm", w, x) + bias
+        dx_ref = np.einsum("bmn,bm->bn", w, d)
+    assert np.isnan(out).any() and np.isinf(w).any()
+    assert out.tobytes() == out_ref.tobytes()
+    assert dx.tobytes() == dx_ref.tobytes()

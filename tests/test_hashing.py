@@ -151,7 +151,8 @@ def test_block_paths_match_row_by_row_hashing(budget, monkeypatch):
     # grid, stats and blocks agree with stacking single rows, whatever the
     # block size and whether the grid streams or is cached
     monkeypatch.setattr(hashing, "BLOCK_BUDGET", budget)
-    monkeypatch.setattr(hashing, "CACHE_LIMIT", min(budget, hashing.CACHE_LIMIT))
+    monkeypatch.setattr(hashing, "CACHE_BYTES", min(budget, hashing.CACHE_BYTES))
+    monkeypatch.setattr(hashing, "_grid_cache", {})
     spec = HashSpec(out_dim=9, in_dim=4, num_candidates=6)
     rows_b = np.stack([hashing.bucket_row(m, spec) for m in range(9)])
     rows_s = np.stack([hashing.sign_row(m, spec) for m in range(9)])
@@ -164,3 +165,25 @@ def test_block_paths_match_row_by_row_hashing(budget, monkeypatch):
     report = hashing.hash_stats(spec)
     assert report["bucket_loads"] == np.bincount(rows_b.ravel(), minlength=6).tolist()
     assert report["sign_mean"] == rows_s.astype(np.float64).mean()
+
+
+@pytest.mark.parametrize("k, dtype", [
+    (1, np.uint8), (128, np.uint8), (129, np.uint16), (32768, np.uint16), (32769, np.uint32),
+])
+def test_codes_decode_to_the_row_hashes_at_dtype_boundaries(k, dtype, monkeypatch):
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    spec = HashSpec(out_dim=5, in_dim=7, num_candidates=k)
+    buckets, signs = hashing.bucket_row(0, spec, 5), hashing.sign_row(0, spec, 5)
+    codes = hashing.spec_codes(spec)
+    assert codes.grid.dtype == dtype
+    assert np.array_equal(codes.grid, buckets + k * (signs < 0))
+    assert np.array_equal(codes.buckets[codes.grid], buckets)
+    assert np.array_equal(codes.signs[codes.grid], signs)
+    assert np.array_equal(hashing.bucket_grid(spec), buckets)
+    assert np.array_equal(hashing.sign_grid(spec), signs)
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    monkeypatch.setattr(hashing, "CACHE_BYTES", 0)  # streamed codes decode the same way
+    streamed = hashing.spec_codes(spec)
+    assert streamed.grid is None
+    (_, _, block), = streamed.blocks()
+    assert np.array_equal(block, codes.grid)
