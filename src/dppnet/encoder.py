@@ -134,13 +134,17 @@ def embed(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def embed_backward(tokens: np.ndarray, d_vectors: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Scatter sequence gradients back into the rows that were looked up."""
+    """Scatter sequence gradients back into the rows that were looked up.
+
+    One bincount over (token, column) keys adds each entry's terms in token
+    order, as np.add.at does, so f64 sums match it bit for bit.  bincount sums
+    in f64 whatever the input; the table is cast to d_vectors' dtype once.
+    """
     tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
-    d_table = np.zeros((vocab_size, d_vectors.shape[-1]), dtype=d_vectors.dtype)
-    np.add.at(d_table, tokens.ravel(), d_vectors.reshape(-1, d_vectors.shape[-1]))
-    return d_table
+    e = d_vectors.shape[-1]
+    keys = (tokens.reshape(-1, 1) * e + np.arange(e)).ravel()
+    d_table = np.bincount(keys, d_vectors.ravel(), minlength=vocab_size * e)
+    return d_table.reshape(vocab_size, e).astype(d_vectors.dtype, copy=False)
 
 
 def _check_gates(rz, h_bar):

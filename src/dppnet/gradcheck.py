@@ -1,10 +1,10 @@
 """Central finite-difference gradient checking over a parameter store.
 
-The loss callable must return (loss, grads) where grads maps parameter names
-to analytic gradients.  The checker perturbs one scalar at a time, so it only
-ever sees the loss value; the analytic path is never reused as its own oracle.
-An entry that misses the tolerance is estimated again with a fourth-order
-difference and judged at the same tolerance.
+The caller passes a forward-only loss_fn(store) -> float and grads, the analytic
+gradients computed once at the unperturbed store.  The checker perturbs one
+scalar at a time and only ever sees the loss value.  An entry that misses the
+tolerance is estimated again with a fourth-order difference and judged at the
+same tolerance.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ def _spread(loss_fn, store: ParamStore, w: np.ndarray, idx, h: float) -> float:
     """loss(w + h) - loss(w - h), moving only entry idx of w."""
     orig = w[idx]
     w[idx] = orig + h
-    up, _ = loss_fn(store)
+    up = loss_fn(store)
     w[idx] = orig - h
-    down, _ = loss_fn(store)
+    down = loss_fn(store)
     w[idx] = orig
     return up - down
 
@@ -74,13 +74,14 @@ def _spread(loss_fn, store: ParamStore, w: np.ndarray, idx, h: float) -> float:
 def grad_check(
     loss_fn,
     store: ParamStore,
+    grads: dict[str, np.ndarray],
     *,
     eps: float = 1e-5,
     tolerance: float = 1e-5,
     floor: float = 1e-3,
     names: list[str] | None = None,
 ) -> GradCheckReport:
-    """Check analytic gradients of loss_fn against central differences.
+    """Check grads, loss_fn's analytic gradients at store, against central differences.
 
     Requires 64-bit parameters; finite differences are unreliable at 32 bits.
     A non-finite loss is reported as a failing tensor, never raised.
@@ -89,7 +90,7 @@ def grad_check(
         raise ConfigError("grad_check requires f64 precision")
     report = GradCheckReport(tolerance=tolerance)
     try:
-        base_loss, grads = loss_fn(store)
+        base_loss = loss_fn(store)
     except FloatingPointError as e:
         report.tensors.append(TensorCheck("<loss>", math.inf, False, f"loss raised: {e}"))
         return report

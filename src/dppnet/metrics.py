@@ -77,7 +77,11 @@ class Taxonomy:
         path = Path(path)
         if not path.exists():
             raise TaxonomyError(f"taxonomy file not found: {path}")
-        return cls.from_text(path.read_text())
+        try:
+            text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise TaxonomyError(f"{path}: not UTF-8 ({e})") from e
+        return cls.from_text(text)
 
     def depth(self, node: str) -> int:
         return self._depth[node]

@@ -146,6 +146,24 @@ class TestEvalCommand:
         report = json.loads(out)
         assert report["wups"]["0.0"]["score"] == pytest.approx(2 / 3, abs=1e-9)
 
+    def test_taxonomy_not_utf8(self, capsys, tmp_path):
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"features": [0.0], "question": "q", "answers": ["dog"]}\n')
+        preds = tmp_path / "p.jsonl"
+        preds.write_text('{"id": 0, "answer": "cat"}\n')
+        taxonomy = tmp_path / "tax.txt"
+        taxonomy.write_bytes(b"\xff\xfec\x00a\x00t\x00 \x00a\x00\n\x00")
+        code, out, err = run_cli(
+            capsys, "eval", "--predictions", str(preds), "--data", str(data),
+            "--taxonomy", str(taxonomy),
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "TaxonomyError"
+        assert str(taxonomy) in error["message"]
+
     def test_multiple_choice_masking(self, capsys, tiny_data_dir, tiny_checkpoint, tmp_path):
         lines = (tiny_data_dir / "test.jsonl").read_text().splitlines()[:10]
         data = tmp_path / "mc.jsonl"

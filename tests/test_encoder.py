@@ -38,6 +38,32 @@ class TestEmbed:
         assert np.array_equal(d_table[4], [1.0, 1.0])
         assert not d_table[0].any()
 
+    @pytest.mark.parametrize("shape", [(1, 7), (4, 5), (32, 9)])
+    def test_backward_matches_add_at_bit_for_bit(self, shape):
+        # few ids for many positions, so most rows collect repeated tokens
+        rng = np.random.default_rng(shape[0])
+        tokens = rng.integers(0, 4, size=shape)
+        d = rng.normal(size=(*shape, 6)) * 10.0 ** rng.integers(-8, 8, size=(*shape, 6))
+        ref = np.zeros((5, 6))
+        np.add.at(ref, tokens.ravel(), d.reshape(-1, 6))
+        got = enc.embed_backward(tokens, d, 5)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref)
+        assert not got[4].any()
+        # f32 terms are summed in f64 and cast once
+        d32 = d.astype(np.float32)
+        ref = np.zeros((5, 6))
+        np.add.at(ref, tokens.ravel(), d32.reshape(-1, 6).astype(np.float64))
+        got = enc.embed_backward(tokens, d32, 5)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, ref.astype(np.float32))
+
+    def test_backward_of_one_sequence(self):
+        d = np.arange(6.0).reshape(3, 2)
+        expected = enc.embed_backward(np.array([[2, 0, 2]]), d[None], 3)
+        assert np.array_equal(enc.embed_backward(np.array([2, 0, 2]), d, 3), expected)
+        assert np.array_equal(expected, [[2.0, 3.0], [0.0, 0.0], [4.0, 6.0]])
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ShapeError):
             enc.embed(np.array([[5]]), np.zeros((5, 2)))

@@ -5,18 +5,18 @@ import pytest
 
 from dppnet.errors import ConfigError
 from dppnet.gradcheck import grad_check, relative_error
-from dppnet.tensor import ParamStore
+from dppnet.tensor import ParamStore, softmax_xent
 
 
 def quadratic(store):
     w = store["w"]
-    return float(0.5 * (w * w).sum()), {"w": w.copy()}
+    return float(0.5 * (w * w).sum())
 
 
 def test_quadratic_loss_analytic_gradient():
     store = ParamStore()
     store.add("w", np.linspace(-2, 2, 7))
-    report = grad_check(quadratic, store, tolerance=1e-9)
+    report = grad_check(quadratic, store, {"w": store["w"].copy()}, tolerance=1e-9)
     assert report.passed
     assert report.max_rel_err <= 1e-9
 
@@ -24,13 +24,10 @@ def test_quadratic_loss_analytic_gradient():
 def test_corrupted_backward_is_flagged():
     store = ParamStore()
     store.add("w", np.linspace(0.5, 2, 6))
+    grads = {"w": store["w"].copy()}
+    grads["w"][2] *= 1.10  # +10% on one component
 
-    def corrupted(s):
-        loss, grads = quadratic(s)
-        grads["w"][2] *= 1.10  # +10% on one component
-        return loss, grads
-
-    report = grad_check(corrupted, store)
+    report = grad_check(quadratic, store, grads)
     assert not report.passed
     assert report.tensors[0].max_rel_err > 1e-3
 
@@ -39,10 +36,7 @@ def test_non_finite_loss_reported_not_raised():
     store = ParamStore()
     store.add("w", np.ones(2))
 
-    def bad(s):
-        return float("nan"), {"w": np.zeros(2)}
-
-    report = grad_check(bad, store)
+    report = grad_check(lambda s: float("nan"), store, {"w": np.zeros(2)})
     assert not report.passed
     assert report.tensors[0].name == "<loss>"
 
@@ -51,7 +45,7 @@ def test_f32_store_rejected():
     store = ParamStore("f32")
     store.add("w", np.ones(2))
     with pytest.raises(ConfigError):
-        grad_check(quadratic, store)
+        grad_check(quadratic, store, {"w": store["w"].copy()})
 
 
 def test_missing_gradient_fails_tensor():
@@ -59,10 +53,7 @@ def test_missing_gradient_fails_tensor():
     store.add("w", np.ones(2))
     store.add("b", np.ones(2))
 
-    def partial(s):
-        return float((s["w"] ** 2).sum() / 2), {"w": s["w"].copy()}
-
-    report = grad_check(partial, store)
+    report = grad_check(quadratic, store, {"w": store["w"].copy()})
     assert not report.passed
     names = {t.name: t.passed for t in report.tensors}
     assert names["w"] and not names["b"]
@@ -76,22 +67,24 @@ def test_relative_error_floor_behaves_absolutely_near_zero():
 def test_report_dict_shape():
     store = ParamStore()
     store.add("w", np.ones(3))
-    d = grad_check(quadratic, store).as_dict()
+    d = grad_check(quadratic, store, {"w": store["w"].copy()}).as_dict()
     assert set(d) == {"passed", "tolerance", "max_rel_err", "tensors"}
     assert d["tensors"][0]["name"] == "w"
 
 
-def steep(store, k=1000.0, scale=1.0):
+def steep(store, k=1000.0):
     # the central difference at eps = 1e-5 is off by (k * eps)^2 / 6 ~ 1.7e-5
-    w = store["w"]
-    e = np.exp(k * w)
-    return float(e.sum()), {"w": scale * k * e}
+    return float(np.exp(k * store["w"]).sum())
+
+
+def steep_grads(store, k=1000.0, scale=1.0):
+    return {"w": scale * k * np.exp(k * store["w"])}
 
 
 def test_curved_loss_passes_on_fourth_order_difference():
     store = ParamStore()
     store.add("w", np.linspace(-1e-3, 1e-3, 5))
-    report = grad_check(steep, store)
+    report = grad_check(steep, store, steep_grads(store))
     assert report.passed
     assert report.tolerance == 1e-5
 
@@ -99,7 +92,7 @@ def test_curved_loss_passes_on_fourth_order_difference():
 def test_scaled_gradient_of_curved_loss_still_fails():
     store = ParamStore()
     store.add("w", np.linspace(-1e-3, 1e-3, 5))
-    report = grad_check(lambda s: steep(s, scale=1.001), store)
+    report = grad_check(steep, store, steep_grads(store, scale=1.001))
     assert not report.passed
     assert report.max_rel_err > 9e-4
 
@@ -119,16 +112,63 @@ def test_scaled_model_gradient_still_fails():
     tokens = rng.integers(0, cfg.vocab_size, size=(2, 5))
     targets = rng.integers(0, cfg.num_answers, size=2)
 
-    def loss_fn(s, scale=1.0):
-        loss, _, grads = model.loss_and_grads(
-            cfg, s, feats, tokens, targets, mode="train", update_running=False
-        )
-        return loss, {k: scale * g for k, g in grads.items()}
+    def loss_fn(s):
+        _, caches = model.forward(cfg, s, feats, tokens, "train", update_running=False)
+        return softmax_xent(caches["logits"], targets)[0]
 
+    _, _, grads = model.loss_and_grads(
+        cfg, store, feats, tokens, targets, mode="train", update_running=False
+    )
     names = ["embed.table", "proj.w"]
-    assert grad_check(loss_fn, store, names=names).passed
-    report = grad_check(lambda s: loss_fn(s, 1.001), store, names=names)
+    assert grad_check(loss_fn, store, grads, names=names).passed
+    scaled = {k: 1.001 * g for k, g in grads.items()}
+    report = grad_check(loss_fn, store, scaled, names=names)
     assert not any(t.passed for t in report.tensors)
+
+
+@pytest.mark.parametrize("variant", ["dppnet", "concat"])
+def test_full_model_oracle_runs_backward_once(monkeypatch, variant):
+    from dppnet import model, oracles
+
+    calls = []
+    backward = model.backward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "backward", counted)
+    report = oracles.check_full_model(variant, np.random.default_rng(0))
+    assert report.passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("variant", ["dppnet", "concat"])
+def test_full_model_oracle_loss_is_the_training_loss(monkeypatch, variant):
+    # the loss-only callable the oracle checks gives the same bits as the
+    # loss model.loss_and_grads returns, at the base point and perturbed
+    from dppnet import model, oracles
+
+    seen = {}
+    loss_and_grads = model.loss_and_grads
+
+    def recorded(*args, **kwargs):
+        seen["call"] = args, kwargs
+        return loss_and_grads(*args, **kwargs)
+
+    def captured(loss_fn, store, grads, **kwargs):
+        seen["check"] = loss_fn, store
+        return grad_check(loss_fn, store, grads, **kwargs)
+
+    monkeypatch.setattr(model, "loss_and_grads", recorded)
+    monkeypatch.setattr(oracles, "grad_check", captured)
+    oracles.check_full_model(variant, np.random.default_rng(3))
+    loss_fn, store = seen["check"]
+    args, kwargs = seen["call"]
+    assert args[1] is store
+    assert loss_fn(store) == loss_and_grads(*args, **kwargs)[0]
+    store["embed.table"][1, 2] += 1e-5
+    assert loss_fn(store) == loss_and_grads(*args, **kwargs)[0]
 
 
 @pytest.mark.parametrize("seed", [203, 210])
