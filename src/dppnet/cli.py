@@ -373,8 +373,10 @@ def main(argv=None) -> int:
         json.dump({"error": {"type": type(e).__name__, "message": str(e)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    except FileNotFoundError as e:
-        json.dump({"error": {"type": "FileNotFound", "message": str(e)}}, sys.stderr)
+    except OSError as e:
+        # a path that is missing or of the wrong kind: FileNotFound, IsADirectory, ...
+        kind = type(e).__name__.removesuffix("Error")
+        json.dump({"error": {"type": kind, "message": str(e)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1
 

@@ -11,8 +11,9 @@ sigmoid for both gates, plus the reset-scaled candidate projection.  Steps
 write their gates, candidates and entering states into time-major arrays (a
 GruTrace), and the gate range check runs once over those arrays per sequence.
 Backward walks only the state-gradient chain step by step, then forms every
-parameter and input gradient with one matmul over all T x B rows.  gru_step
-and gru_step_backward are the one-step case of the same code.
+parameter and input gradient with one matmul over all T x B rows.
+gru_encode and gru_encode_backward are the only way into the recurrence; a
+sequence always starts from the zero state.
 """
 
 from __future__ import annotations
@@ -86,21 +87,10 @@ class GruParams:
 
 
 @dataclass
-class GruStepCache:
-    """Per-step values needed by backward."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    h_bar: np.ndarray
-
-
-@dataclass
 class GruTrace:
     """A whole sequence's forward values, stacked time-major for backward.
 
-    len() is the step count and trace[t] is step t's GruStepCache (views).
+    len() is the step count.
     """
 
     x: np.ndarray  # B x T x E input
@@ -110,12 +100,6 @@ class GruTrace:
 
     def __len__(self) -> int:
         return self.h_bar.shape[0]
-
-    def __getitem__(self, t: int) -> GruStepCache:
-        r, z = np.split(self.rz[t], 2, axis=1)
-        return GruStepCache(
-            x=self.x[:, t, :], h_prev=self.h_prev[t], r=r, z=z, h_bar=self.h_bar[t]
-        )
 
 
 def embed(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -168,34 +152,9 @@ def _fused(params: GruParams):
     return w, u_rz, bias
 
 
-def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: GruParams):
-    """One recurrence step; returns (h_t, cache).
-
-    Reset and update gates are sigmoids of affine maps of (x_t, h_prev); the
-    candidate activation tanh-mixes x_t with the reset-scaled previous state;
-    the new state is the update-gated convex combination.
-    """
-    h_t, trace = gru_encode(x_t[:, None, :], params, h_prev)
-    return h_t, trace[0]
-
-
-def gru_step_backward(cache: GruStepCache, params: GruParams, dh: np.ndarray, acc: dict):
-    """Backward through one step; accumulates parameter grads into acc.
-
-    Returns (dx_t, dh_prev).
-    """
-    trace = GruTrace(
-        x=cache.x[:, None, :], h_prev=cache.h_prev[None],
-        rz=np.concatenate([cache.r, cache.z], axis=1)[None], h_bar=cache.h_bar[None],
-    )
-    dx_seq, grads, dh_prev = _bptt(trace, params, dh)
-    for k, g in grads.items():
-        acc[k] += g
-    return dx_seq[:, 0, :], dh_prev
-
-
-def gru_encode(x_seq: np.ndarray, params: GruParams, h0: np.ndarray | None = None):
-    """Run the recurrence over a B x T x E sequence; returns (h_last, trace).
+def gru_encode(x_seq: np.ndarray, params: GruParams):
+    """Run the recurrence from the zero state over a B x T x E sequence;
+    returns (h_last, trace).
 
     The trace holds every step's values stacked time-major; len(trace) is T.
     """
@@ -205,14 +164,12 @@ def gru_encode(x_seq: np.ndarray, params: GruParams, h0: np.ndarray | None = Non
     hd = params.hidden_dim
     if e != params.input_dim:
         raise ShapeError(f"gru input dim {e} != {params.input_dim}")
-    if h0 is not None and h0.shape != (b, hd):
-        raise ShapeError(f"gru state shape {h0.shape} != ({b}, {hd})")
     w, u_rz, bias = _fused(params)
-    dt = np.result_type(x_seq.dtype, w.dtype, x_seq.dtype if h0 is None else h0.dtype)
+    dt = np.result_type(x_seq.dtype, w.dtype)
     h_prev = np.empty((steps, b, hd), dtype=dt)
     rz = np.empty((steps, b, 2 * hd), dtype=dt)
     h_bar = np.empty((steps, b, hd), dtype=dt)
-    h = np.zeros((b, hd), dtype=dt) if h0 is None else h0
+    h = np.zeros((b, hd), dtype=dt)
     for t in range(steps):
         h_prev[t] = h
         # projected per step: all T at once would hold a T x B x 3H array
@@ -232,8 +189,9 @@ def gru_encode(x_seq: np.ndarray, params: GruParams, h0: np.ndarray | None = Non
     return h, GruTrace(x=x_seq, h_prev=h_prev, rz=rz, h_bar=h_bar)
 
 
-def _bptt(trace: GruTrace, params: GruParams, dh: np.ndarray):
-    """Backward through a whole trace; returns (dx_seq, param grads, dh0).
+def gru_encode_backward(trace: GruTrace, params: GruParams, dh: np.ndarray):
+    """Backward through time from dh, the gradient of h_last; returns
+    (dx_seq, param grads dict).
 
     The loop carries only the state gradient and records each step's gate
     pre-activation gradients [da_r, da_z, da_h]; the parameter and input
@@ -265,12 +223,6 @@ def _bptt(trace: GruTrace, params: GruParams, dh: np.ndarray):
         db = g.sum(axis=0)
         grads.update(b_r=db[:hd], b_z=db[hd : 2 * hd], b_h=db[2 * hd :])
     dx_seq = matmul(g, w).reshape(steps, b, -1).transpose(1, 0, 2)
-    return dx_seq, grads, dh
-
-
-def gru_encode_backward(caches, params: GruParams, dh_last: np.ndarray):
-    """Backward through time; returns (dx_seq, param grads dict)."""
-    dx_seq, grads, _ = _bptt(caches, params, dh_last)
     return dx_seq, grads
 
 

@@ -185,13 +185,12 @@ def spec_codes(spec: HashSpec) -> SpecCodes:
     buckets = np.arange(2 * k, dtype=np.int64) % k
     signs = np.repeat([1.0, -1.0], k)
     size = spec.out_dim * spec.in_dim * dtype.itemsize + buckets.nbytes + signs.nbytes
+    hashed = SpecCodes(spec, buckets, signs)
     if size > CACHE_BYTES:
-        return SpecCodes(spec, buckets, signs)
+        return hashed
     grid = np.empty((spec.out_dim, spec.in_dim), dtype=dtype)
-    step = max(1, BLOCK_BUDGET // spec.in_dim)
-    for lo in range(0, spec.out_dim, step):
-        hi = min(lo + step, spec.out_dim)
-        grid[lo:hi] = _hash_codes(spec, lo, hi)
+    for lo, hi, block in hashed.blocks():
+        grid[lo:hi] = block
     for array in (grid, buckets, signs):
         array.setflags(write=False)
     used = sum(c.nbytes for c in _grid_cache.values())

@@ -122,13 +122,14 @@ def _adapter_backward(store, features, h1, f_in, d_fin, grads):
     grads["adapter.b1"] = da1.sum(axis=0)
 
 
-def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval",
-            update_running=False):
+def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
     """Full forward pass; returns (answer distribution, caches).
 
     `tokens` is a B x T batch of equal-length token id sequences; `features`
     is B x F.  In train mode batch statistics normalize the pre-classifier
-    activations and, when update_running is set, fold into running stats.
+    activations.  The store is only read: caches["bn_running"] is the
+    (running_mean, running_var) pair after this batch, for the trainer to
+    commit (in eval mode, the store's own pair).
     """
     cfg.require_resolved()
     features = np.atleast_2d(np.asarray(features, dtype=store["adapter.w1"].dtype))
@@ -162,10 +163,7 @@ def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval",
         caches["candidates"] = candidates
         pre_cls = dyn_forward(f_in, candidates, store["dyn.b"], cfg.hash_spec())
 
-    y_bn, bn_cache = batchnorm(pre_cls, bn, mode, update_running=update_running)
-    if update_running and mode == "train":
-        store["bn.running_mean"] = bn.running_mean
-        store["bn.running_var"] = bn.running_var
+    y_bn, bn_cache, caches["bn_running"] = batchnorm(pre_cls, bn, mode)
     r_out = activation("relu", y_bn)
     logits = matmul(r_out, store["cls.w"].T) + store["cls.b"]
     caches["bn_cache"], caches["r_out"], caches["logits"] = bn_cache, r_out, logits
@@ -211,13 +209,12 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
     return grads
 
 
-def loss_and_grads(cfg: ModelConfig, store: ParamStore, features, tokens, targets,
-                   mode="train", update_running=False):
-    """Mean cross-entropy and all parameter gradients; returns (loss, logits, grads)."""
-    _, caches = forward(cfg, store, features, tokens, mode, update_running)
+def loss_and_grads(cfg: ModelConfig, store: ParamStore, features, tokens, targets, mode="train"):
+    """Mean cross-entropy and all parameter gradients; returns (loss, caches, grads)."""
+    _, caches = forward(cfg, store, features, tokens, mode)
     loss, dlogits = softmax_xent(caches["logits"], targets)
     grads = backward(cfg, store, caches, dlogits)
-    return loss, caches["logits"], grads
+    return loss, caches, grads
 
 
 def predict_classes(cfg: ModelConfig, store: ParamStore, features, tokens,
@@ -273,10 +270,7 @@ def parameter_counts(cfg: ModelConfig) -> dict:
 
 def encode_question(cfg: ModelConfig, store: ParamStore, token_ids) -> np.ndarray:
     """Question embedding (the encoder's final hidden state) for one question."""
-    tokens = np.asarray(token_ids, dtype=np.int64)[None, :]
-    x_seq = enc.embed(tokens, store["embed.table"])
-    h_last, _ = enc.gru_encode(x_seq, enc.GruParams.from_store(store))
-    return h_last[0]
+    return encode_questions(cfg, store, [token_ids])[0]
 
 
 def encode_questions(cfg: ModelConfig, store: ParamStore, token_id_lists) -> np.ndarray:

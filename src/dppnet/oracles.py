@@ -77,7 +77,7 @@ def check_batchnorm(rng) -> GradCheckReport:
             gamma=s["gamma"], beta=s["beta"],
             running_mean=np.zeros(3), running_var=np.ones(3),
         )
-        y, cache = batchnorm(s["x"], state, "train", update_running=False)
+        y, cache, _ = batchnorm(s["x"], state, "train")
         return float((c * y).sum()), cache
 
     grads = dict(zip(("x", "gamma", "beta"), batchnorm_backward(forward(arrays)[1], c)))
@@ -170,10 +170,10 @@ def check_full_model(variant: str, rng, batch: int = 2) -> GradCheckReport:
 
     def loss_fn(s):
         # the calls loss_and_grads makes, so the loss has the same bits
-        _, caches = mdl.forward(cfg, s, feats, tokens, "train", False)
+        _, caches = mdl.forward(cfg, s, feats, tokens, "train")
         return softmax_xent(caches["logits"], targets)[0]
 
-    _, _, grads = mdl.loss_and_grads(cfg, store, feats, tokens, targets, "train", False)
+    _, _, grads = mdl.loss_and_grads(cfg, store, feats, tokens, targets, "train")
     return grad_check(loss_fn, store, grads)
 
 

@@ -2,8 +2,8 @@
 
 Tensors are numpy arrays in one of two scalar widths: f32 for cheap training,
 f64 for anything checked against finite differences.  Every primitive here is
-a pure function; the only mutable state is BatchNormState, written by a single
-training loop.
+a pure function: batchnorm returns the running statistics a training batch
+leads to instead of writing them, and ParamStore is the only mutable state.
 """
 
 from __future__ import annotations
@@ -123,11 +123,12 @@ class BatchNormState:
         )
 
 
-def batchnorm(x: np.ndarray, state: BatchNormState, mode: str, update_running: bool = True):
-    """Normalize per feature; returns (y, cache for backward).
+def batchnorm(x: np.ndarray, state: BatchNormState, mode: str):
+    """Normalize per feature; returns (y, cache for backward, running).
 
-    Train mode uses batch statistics and (optionally) folds them into the
-    running statistics; eval mode uses running statistics only.
+    Train mode uses batch statistics, and running is the (mean, var) pair
+    they fold the running statistics into; eval mode uses the running
+    statistics, and running is state's own pair.  state is never written.
     """
     if x.ndim != 2:
         raise ShapeError(f"batchnorm expects B x D input, got {x.shape}")
@@ -140,16 +141,17 @@ def batchnorm(x: np.ndarray, state: BatchNormState, mode: str, update_running: b
         var = x.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + state.eps)
         xhat = (x - mean) * inv_std
-        if update_running:
-            m = state.momentum
-            state.running_mean = (1.0 - m) * state.running_mean + m * mean
-            state.running_var = (1.0 - m) * state.running_var + m * var
+        m = state.momentum
+        running = (
+            (1.0 - m) * state.running_mean + m * mean,
+            (1.0 - m) * state.running_var + m * var,
+        )
         cache = (xhat, inv_std, state.gamma)
-        return state.gamma * xhat + state.beta, cache
+        return state.gamma * xhat + state.beta, cache, running
     if mode == "eval":
         xhat = (x - state.running_mean) / np.sqrt(state.running_var + state.eps)
         cache = (xhat, None, state.gamma)
-        return state.gamma * xhat + state.beta, cache
+        return state.gamma * xhat + state.beta, cache, (state.running_mean, state.running_var)
     raise ConfigError(f"unknown batchnorm mode {mode!r}")
 
 

@@ -301,18 +301,19 @@ def train(run_config: RunConfig, train_examples, val_examples,
         for rows in train_batches(train_data, schedule.batch_size, rng):
             feats, tokens, targets = _gather(train_data, rows)
             try:
-                loss, logits, grads = mdl.loss_and_grads(
-                    cfg, store, feats, tokens, targets, mode="train", update_running=True
-                )
+                loss, caches, grads = mdl.loss_and_grads(cfg, store, feats, tokens, targets)
             except FloatingPointError:
                 aborted = True
                 break
             if not math.isfinite(loss):
                 aborted = True
                 break
+            # only a step that is taken advances the batch-norm running stats
+            store["bn.running_mean"], store["bn.running_var"] = caches["bn_running"]
             loss_sum += loss * len(rows)
             seen += len(rows)
-            correct += int((logits.argmax(axis=1) == targets).sum())
+            correct += int((caches["logits"].argmax(axis=1) == targets).sum())
+            del caches  # two steps' caches (GRU trace included) never coexist
             grads, _ = clip_gradients(grads, schedule.clip_threshold)
             adam_step(store, grads, adam)
         if aborted:

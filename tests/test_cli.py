@@ -517,6 +517,28 @@ class TestJsonFilesThroughCli:
         assert error["type"] == "ConfigError"
         assert named in error["message"]
 
+    @pytest.mark.parametrize("command, flag, path, kind", [
+        ("eval", "--taxonomy", "dir", "IsADirectory"),
+        ("eval", "--data", "dir", "IsADirectory"),
+        ("eval", "--predictions", "dir", "IsADirectory"),
+        ("train", "--config", "dir", "IsADirectory"),
+        ("gen", "--gen-config", "dir", "IsADirectory"),
+        ("gen", "--out", "file", "FileExists"),
+        ("gen", "--out", "file/sub", "NotADirectory"),
+    ])
+    def test_path_of_the_wrong_kind(self, capsys, tmp_path, tiny_data_dir,
+                                    command, flag, path, kind):
+        data, preds = self._predictions(tmp_path, tiny_data_dir)
+        argv = {
+            "eval": {"--predictions": str(preds), "--data": str(data)},
+            "train": {"--data": str(tiny_data_dir), "--out": str(tmp_path / "run")},
+            "gen": {"--out": str(tmp_path / "gen")},
+        }[command]
+        argv[flag] = str({"dir": tmp_path, "file": data, "file/sub": data / "sub"}[path])
+        error = self._error(capsys, command, *[a for kv in argv.items() for a in kv])
+        assert error["type"] == kind
+        assert argv[flag] in error["message"]
+
     def test_gen_config_not_utf8(self, capsys, tmp_path):
         gc = tmp_path / "gen.json"
         gc.write_bytes(self.NOT_UTF8)

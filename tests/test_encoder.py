@@ -91,62 +91,48 @@ class TestEmbed:
 
 
 class TestGruStep:
-    def test_zero_params_halve_previous_state(self):
-        params = enc.GruParams(
-            w_r=np.zeros((3, 2)), w_z=np.zeros((3, 2)), w_h=np.zeros((3, 2)),
-            u_r=np.zeros((3, 3)), u_z=np.zeros((3, 3)), u_h=np.zeros((3, 3)),
-        )
-        h_prev = np.array([[0.4, -0.2, 1.0]])
-        h, cache = enc.gru_step(np.ones((1, 2)), h_prev, params)
-        assert np.allclose(cache.r, 0.5)
-        assert np.allclose(cache.z, 0.5)
-        assert np.allclose(cache.h_bar, 0.0)
-        assert np.allclose(h, 0.5 * h_prev)
+    """One recurrence step: gru_encode at T = 1, from the zero state."""
 
     def test_zero_state_makes_reset_gate_irrelevant(self):
         rng = np.random.default_rng(1)
         params = random_gru(rng)
-        x = rng.normal(size=(2, 4))
-        h0 = np.zeros((2, 5))
-        h1, cache = enc.gru_step(x, h0, params)
-        expected = cache.z * np.tanh(x @ params.w_h.T)
+        x = rng.normal(size=(2, 1, 4))
+        h1, trace = enc.gru_encode(x, params)
+        z = trace.rz[0, :, 5:]
+        expected = z * np.tanh(x[:, 0, :] @ params.w_h.T)
         assert np.allclose(h1, expected)
         # changing the reset path must not matter when the state is zero
         params2 = enc.GruParams(
             w_r=params.w_r * -3.0, w_z=params.w_z, w_h=params.w_h,
             u_r=params.u_r, u_z=params.u_z, u_h=params.u_h,
         )
-        h1b, _ = enc.gru_step(x, h0, params2)
+        h1b, _ = enc.gru_encode(x, params2)
         assert np.allclose(h1, h1b)
 
     def test_gates_strictly_open(self):
         rng = np.random.default_rng(2)
         params = random_gru(rng)
-        _, cache = enc.gru_step(rng.normal(size=(4, 4)), rng.normal(size=(4, 5)) * 0.5, params)
-        assert np.all((cache.r > 0) & (cache.r < 1))
-        assert np.all((cache.z > 0) & (cache.z < 1))
-        assert np.all(np.abs(cache.h_bar) < 1)
+        _, trace = enc.gru_encode(rng.normal(size=(4, 1, 4)), params)
+        r, z = trace.rz[0, :, :5], trace.rz[0, :, 5:]
+        assert np.all((r > 0) & (r < 1))
+        assert np.all((z > 0) & (z < 1))
+        assert np.all(np.abs(trace.h_bar) < 1)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_step_backward_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         params = random_gru(rng)
-        x = rng.normal(size=(3, 4))
-        h_prev = rng.normal(size=(3, 5)) * 0.5
+        x = rng.normal(size=(3, 1, 4))
         c = rng.normal(size=(3, 5))
 
         def forward():
-            h, _ = enc.gru_step(x, h_prev, params)
+            h, _ = enc.gru_encode(x, params)
             return float((c * h).sum())
 
-        _, cache = enc.gru_step(x, h_prev, params)
-        acc = {k: np.zeros_like(getattr(params, k))
-               for k in ("w_r", "w_z", "w_h", "u_r", "u_z", "u_h")}
-        dx, dh_prev = enc.gru_step_backward(cache, params, c, acc)
+        _, trace = enc.gru_encode(x, params)
+        dx, grads = enc.gru_encode_backward(trace, params, c)
         eps = 1e-6
-        for target, analytic in [(x, dx), (h_prev, dh_prev)] + [
-            (getattr(params, k), acc[k]) for k in acc
-        ]:
+        for target, analytic in [(x, dx)] + [(getattr(params, k), grads[k]) for k in grads]:
             numeric = np.zeros_like(target)
             for idx in np.ndindex(target.shape):
                 orig = target[idx]
@@ -160,15 +146,6 @@ class TestGruStep:
 
 
 class TestGruEncode:
-    def test_single_step_equivalence(self):
-        rng = np.random.default_rng(3)
-        params = random_gru(rng)
-        x = rng.normal(size=(2, 1, 4))
-        h_enc, caches = enc.gru_encode(x, params)
-        h_step, _ = enc.gru_step(x[:, 0, :], np.zeros((2, 5)), params)
-        assert np.array_equal(h_enc, h_step)
-        assert len(caches) == 1
-
     def test_state_stays_in_unit_box(self, monkeypatch):
         # large weights saturate tanh to exactly +-1 in f64; the closed bound
         # still holds, so drop the strict-openness assertion here
@@ -370,7 +347,7 @@ def ref_encode_backward(steps, p, dh):
             acc["b_h"] += da_h.sum(axis=0)
         dx_seq[:, t, :] = da_h @ p.w_h + da_r @ p.w_r + da_z @ p.w_z
         dh = dh * (1.0 - z) + drh * r + da_r @ p.u_r + da_z @ p.u_z
-    return dx_seq, acc, dh
+    return dx_seq, acc
 
 
 def _with_bias(p, rng):
@@ -402,48 +379,19 @@ class TestFusedGruMatchesPerGateReference:
         h_ref, steps_ref = ref_encode(x, params)
         _close(h, h_ref)
         assert len(trace) == steps
-        for t, (xt, h_prev, r, z, h_bar) in enumerate(steps_ref):
-            cache = trace[t]
-            for got, want in ((cache.x, xt), (cache.h_prev, h_prev), (cache.r, r),
-                              (cache.z, z), (cache.h_bar, h_bar)):
-                _close(got, want)
+        # the reference's per-step tuples, stacked like the trace
+        x_ref, h_prev, r, z, h_bar = (np.stack(a) for a in zip(*steps_ref))
+        _close(trace.x, x_ref.transpose(1, 0, 2))
+        _close(trace.h_prev, h_prev)
+        _close(trace.rz, np.concatenate([r, z], axis=2))
+        _close(trace.h_bar, h_bar)
 
         dx, grads = enc.gru_encode_backward(trace, params, dh)
-        dx_ref, grads_ref, _ = ref_encode_backward(steps_ref, params, dh)
+        dx_ref, grads_ref = ref_encode_backward(steps_ref, params, dh)
         _close(dx, dx_ref)
         assert list(grads) == list(grads_ref)
         for k in grads_ref:
             _close(grads[k], grads_ref[k])
-
-    @pytest.mark.parametrize("bias", [False, True])
-    def test_step_wrappers(self, bias):
-        rng = np.random.default_rng(77)
-        params = random_gru(rng, hidden=6, embed=3, scale=0.5)
-        if bias:
-            params = _with_bias(params, rng)
-        x = rng.normal(size=(4, 3))
-        h_prev = rng.normal(size=(4, 6)) * 0.5
-        dh = rng.normal(size=(4, 6))
-
-        h, cache = enc.gru_step(x, h_prev, params)
-        assert isinstance(cache, enc.GruStepCache)
-        # the reference starts from zero state, so fold h_prev in by hand
-        a_r = x @ params.w_r.T + h_prev @ params.u_r.T + (params.b_r if bias else 0.0)
-        a_z = x @ params.w_z.T + h_prev @ params.u_z.T + (params.b_z if bias else 0.0)
-        r, z = _ref_sigmoid(a_r), _ref_sigmoid(a_z)
-        h_bar = np.tanh(x @ params.w_h.T + (r * h_prev) @ params.u_h.T
-                        + (params.b_h if bias else 0.0))
-        _close(h, (1.0 - z) * h_prev + z * h_bar)
-
-        dx_ref, grads_ref, dh_prev_ref = ref_encode_backward(
-            [(x, h_prev, r, z, h_bar)], params, dh
-        )
-        acc = {k: np.ones_like(g) for k, g in grads_ref.items()}
-        dx, dh_prev = enc.gru_step_backward(cache, params, dh, acc)
-        _close(dx, dx_ref[:, 0, :])
-        _close(dh_prev, dh_prev_ref)
-        for k, g in grads_ref.items():
-            _close(acc[k], 1.0 + g)  # accumulated onto what acc held
 
     def test_f32_stays_f32(self):
         rng = np.random.default_rng(78)

@@ -113,12 +113,10 @@ def test_scaled_model_gradient_still_fails():
     targets = rng.integers(0, cfg.num_answers, size=2)
 
     def loss_fn(s):
-        _, caches = model.forward(cfg, s, feats, tokens, "train", update_running=False)
+        _, caches = model.forward(cfg, s, feats, tokens, "train")
         return softmax_xent(caches["logits"], targets)[0]
 
-    _, _, grads = model.loss_and_grads(
-        cfg, store, feats, tokens, targets, mode="train", update_running=False
-    )
+    _, _, grads = model.loss_and_grads(cfg, store, feats, tokens, targets, mode="train")
     names = ["embed.table", "proj.w"]
     assert grad_check(loss_fn, store, grads, names=names).passed
     scaled = {k: 1.001 * g for k, g in grads.items()}

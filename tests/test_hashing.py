@@ -187,3 +187,20 @@ def test_codes_decode_to_the_row_hashes_at_dtype_boundaries(k, dtype, monkeypatc
     assert streamed.grid is None
     (_, _, block), = streamed.blocks()
     assert np.array_equal(block, codes.grid)
+
+
+def test_cached_grid_is_hashed_in_block_budget_chunks(monkeypatch):
+    # BLOCK_BUDGET // in_dim = 32 rows per bucket_row call, the chunks that
+    # streamed codes are hashed in
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    spec = HashSpec(out_dim=100, in_dim=1024, num_candidates=8)
+    calls = []
+    real = hashing.bucket_row
+    monkeypatch.setattr(hashing, "bucket_row",
+                        lambda m, s, stop=None: calls.append((m, stop)) or real(m, s, stop))
+    codes = hashing.spec_codes(spec)
+    assert codes.grid is not None
+    assert calls == [(0, 32), (32, 64), (64, 96), (96, 100)]
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    monkeypatch.setattr(hashing, "CACHE_BYTES", 0)
+    assert [(lo, hi) for lo, hi, _ in hashing.spec_codes(spec).blocks()] == calls[:4]

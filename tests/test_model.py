@@ -53,6 +53,20 @@ class TestForward:
         b, _ = mdl.forward(toy_cfg, toy_store, feats, tokens, mode="eval")
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("variant", ["dppnet", "concat"])
+    def test_train_forward_leaves_the_store_unchanged(self, variant):
+        cfg = toy_model_config(variant=variant)
+        store = mdl.init_params(cfg, "f64", seed=13)
+        before = {name: (value, value.tobytes()) for name, value in store.items()}
+        feats, tokens = toy_batch(cfg, np.random.default_rng(6))
+        _, caches = mdl.forward(cfg, store, feats, tokens, mode="train")
+        for name, (value, bits) in before.items():
+            assert store[name] is value and value.tobytes() == bits, name
+        # the running stats the batch leads to are returned, not written
+        mean, var = caches["bn_running"]
+        assert not np.array_equal(mean, store["bn.running_mean"])
+        assert not np.array_equal(var, store["bn.running_var"])
+
     def test_batch_mismatch_rejected(self, toy_cfg, toy_store):
         rng = np.random.default_rng(3)
         with pytest.raises(ShapeError):
@@ -316,8 +330,7 @@ class TestEncodeQuestions:
 
         sizes = []
         real = enc.gru_encode
-        monkeypatch.setattr(enc, "gru_encode",
-                            lambda x, p, h0=None: sizes.append(x.shape[:2]) or real(x, p, h0))
+        monkeypatch.setattr(enc, "gru_encode", lambda x, p: sizes.append(x.shape[:2]) or real(x, p))
         ids = [[1, 2, 3]] * 300 + [[4]] * 5
         mdl.encode_questions(toy_cfg, toy_store, ids)
         assert sorted(sizes) == [(5, 1), (44, 3), (256, 3)]

@@ -127,14 +127,14 @@ class TestBatchNorm:
         x = rng.normal(size=(400, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         state = BatchNormState.create(3)
-        y, _ = batchnorm(x, state, "train", update_running=False)
+        y, _, _ = batchnorm(x, state, "train")
         assert np.abs(y - x).max() <= 1e-4
 
     def test_constant_column_outputs_beta(self):
         state = BatchNormState.create(2)
         state.beta = np.array([3.0, -1.0])
         x = np.full((5, 2), 7.0)
-        y, _ = batchnorm(x, state, "train", update_running=False)
+        y, _, _ = batchnorm(x, state, "train")
         assert np.allclose(y, state.beta)
 
     def test_train_needs_two_rows(self):
@@ -145,7 +145,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(64, 4)) * 10.0 + 3.0  # comfortably non-degenerate columns
         state = BatchNormState.create(4)
-        _, cache = batchnorm(x, state, "train", update_running=False)
+        _, cache, _ = batchnorm(x, state, "train")
         xhat = cache[0]
         assert np.abs(xhat.mean(axis=0)).max() <= 1e-10
         assert np.abs(xhat.var(axis=0) - 1.0).max() <= 1e-6
@@ -154,21 +154,25 @@ class TestBatchNorm:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(32, 2)) + 5.0
         state = BatchNormState.create(2, momentum=0.1)
-        batchnorm(x, state, "train", update_running=True)
+        _, _, (running_mean, running_var) = batchnorm(x, state, "train")
         expect_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=0)
         expect_var = 0.9 * 1.0 + 0.1 * x.var(axis=0)
-        assert np.allclose(state.running_mean, expect_mean)
-        assert np.allclose(state.running_var, expect_var)
-        assert np.all(state.running_var > 0)
+        assert np.allclose(running_mean, expect_mean)
+        assert np.allclose(running_var, expect_var)
+        assert np.all(running_var > 0)
+        # the returned pair is the whole effect: state is left as it was
+        assert np.array_equal(state.running_mean, np.zeros(2))
+        assert np.array_equal(state.running_var, np.ones(2))
 
     def test_eval_uses_running_stats_only(self):
         state = BatchNormState.create(2)
         state.running_mean = np.array([1.0, -1.0])
         state.running_var = np.array([4.0, 0.25])
         x = np.array([[1.0, -1.0], [3.0, 0.0]])
-        y, _ = batchnorm(x, state, "eval")
+        y, _, running = batchnorm(x, state, "eval")
         expect = (x - state.running_mean) / np.sqrt(state.running_var + state.eps)
         assert np.allclose(y, expect)
+        assert running[0] is state.running_mean and running[1] is state.running_var
 
     @pytest.mark.parametrize("seed", range(20))
     def test_backward_matches_finite_differences(self, seed):
@@ -181,7 +185,7 @@ class TestBatchNorm:
         def run(xv):
             state = BatchNormState(gamma=gamma, beta=beta,
                                    running_mean=np.zeros(3), running_var=np.ones(3))
-            y, cache = batchnorm(xv, state, "train", update_running=False)
+            y, cache, _ = batchnorm(xv, state, "train")
             return y, cache
 
         y, cache = run(x)
@@ -194,7 +198,7 @@ class TestBatchNorm:
 
     def test_eval_cache_rejected_by_backward(self):
         state = BatchNormState.create(2)
-        _, cache = batchnorm(np.zeros((3, 2)), state, "eval")
+        _, cache, _ = batchnorm(np.zeros((3, 2)), state, "eval")
         with pytest.raises(ShapeError):
             batchnorm_backward(cache, np.zeros((3, 2)))
 

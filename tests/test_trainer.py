@@ -187,6 +187,29 @@ class TestTrainLoop:
         res = train(small_run_config(max_epochs=2, seed=5), train_ex, val_ex)
         assert "adapter.w1" in res.log[0]["frozen"]
 
+    def test_commits_running_stats_of_the_last_step(self, tiny_sets, monkeypatch):
+        # loss_and_grads only reads the store; the loop commits the batch-norm
+        # running stats each step returns, so one epoch ends on the last pair
+        train_ex, val_ex, _ = tiny_sets
+        real = mdl.loss_and_grads
+        steps = []
+
+        def spy(cfg, store, *args, **kwargs):
+            before = store.copy_values()
+            out = real(cfg, store, *args, **kwargs)
+            for name, value in before.items():
+                assert store[name].tobytes() == value.tobytes(), name
+            steps.append(out[1]["bn_running"])
+            return out
+
+        monkeypatch.setattr(mdl, "loss_and_grads", spy)
+        res = train(small_run_config(max_epochs=1, seed=15), train_ex, val_ex)
+        assert len(steps) > 1
+        mean, var = steps[-1]
+        assert res.store["bn.running_mean"].tobytes() == mean.tobytes()
+        assert res.store["bn.running_var"].tobytes() == var.tobytes()
+        assert not np.array_equal(steps[-2][0], mean)
+
     def test_memorizes_sixteen_examples(self):
         gen = GenConfig(n_train=16, n_val=16, n_test=0)
         train_ex, val_ex, _ = generate_synthetic(gen, seed=6)
