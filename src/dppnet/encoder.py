@@ -209,7 +209,8 @@ def gru_encode_backward(trace: GruTrace, params: GruParams, dh: np.ndarray):
         g[t, :, :hd] = drh * h_prev[t] * d_sig[t, :, :hd]
         g[t, :, hd : 2 * hd] = dh * (h_bar[t] - h_prev[t]) * d_sig[t, :, hd:]
         g[t, :, 2 * hd :] = da_h
-        dh = dh * (1.0 - z[t]) + drh * r[t] + matmul(g[t, :, : 2 * hd], u_rz)
+        if t:  # the state entering step 0 is the zero state, with no gradient
+            dh = dh * (1.0 - z[t]) + drh * r[t] + matmul(g[t, :, : 2 * hd], u_rz)
     g = g.reshape(steps * b, 3 * hd)
     x = trace.x.transpose(1, 0, 2).reshape(steps * b, -1)
     dw = matmul(g.T, x)

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import ParamStore
 
+EPS = 1e-5  # grad_check's default step
+
 
 @dataclass
 class TensorCheck:
@@ -76,7 +78,7 @@ def grad_check(
     store: ParamStore,
     grads: dict[str, np.ndarray],
     *,
-    eps: float = 1e-5,
+    eps: float = EPS,
     tolerance: float = 1e-5,
     floor: float = 1e-3,
     names: list[str] | None = None,

@@ -122,34 +122,26 @@ def _adapter_backward(store, features, h1, f_in, d_fin, grads):
     grads["adapter.b1"] = da1.sum(axis=0)
 
 
-def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
-    """Full forward pass; returns (answer distribution, caches).
+def question_branch(store: ParamStore, tokens: np.ndarray):
+    """Embedding + GRU over a B x T token batch; returns (h_last, trace).
 
-    `tokens` is a B x T batch of equal-length token id sequences; `features`
-    is B x F.  In train mode batch statistics normalize the pre-classifier
-    activations.  The store is only read: caches["bn_running"] is the
-    (running_mean, running_var) pair after this batch, for the trainer to
-    commit (in eval mode, the store's own pair).
+    It reads only the embed.* and gru.* tensors.
     """
-    cfg.require_resolved()
-    features = np.atleast_2d(np.asarray(features, dtype=store["adapter.w1"].dtype))
-    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
-    if features.shape[0] != tokens.shape[0]:
-        raise ShapeError(
-            f"batch mismatch: {features.shape[0]} feature rows, {tokens.shape[0]} questions"
-        )
-    if features.shape[1] != cfg.feature_dim:
-        raise ShapeError(f"feature dim {features.shape[1]} != configured {cfg.feature_dim}")
-    caches = {"features": features, "tokens": tokens, "mode": mode}
+    x_seq = enc.embed(tokens, store["embed.table"])
+    return enc.gru_encode(x_seq, enc.GruParams.from_store(store))
 
+
+def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> dict:
+    """Everything after the question encoder; returns the caches, logits included.
+
+    `encoding` is question_branch's (h_last, trace) for the same batch.  The
+    adapter, the candidate projection + dynamic layer (or the concat mixer),
+    batch norm and the classifier run here; the store is only read.
+    """
+    h_last, trace = encoding
+    caches = {"features": features, "mode": mode, "gru": trace, "h_last": h_last}
     f_in, h1 = _adapter_forward(store, features)
     caches["h1"], caches["f_in"] = h1, f_in
-
-    x_seq = enc.embed(tokens, store["embed.table"])
-    gru_params = enc.GruParams.from_store(store)
-    h_last, step_caches = enc.gru_encode(x_seq, gru_params)
-    caches["gru"] = step_caches
-    caches["h_last"] = h_last
 
     bn = _bn_state(cfg, store)
     if cfg.variant == "concat":
@@ -167,7 +159,30 @@ def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
     r_out = activation("relu", y_bn)
     logits = matmul(r_out, store["cls.w"].T) + store["cls.b"]
     caches["bn_cache"], caches["r_out"], caches["logits"] = bn_cache, r_out, logits
-    return softmax(logits), caches
+    return caches
+
+
+def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
+    """Full forward pass, head(question_branch); returns (answer distribution, caches).
+
+    `tokens` is a B x T batch of equal-length token id sequences; `features`
+    is B x F.  In train mode batch statistics normalize the pre-classifier
+    activations.  The store is only read: caches["bn_running"] is the
+    (running_mean, running_var) pair after this batch, for the trainer to
+    commit (in eval mode, the store's own pair).
+    """
+    cfg.require_resolved()
+    features = np.atleast_2d(np.asarray(features, dtype=store["adapter.w1"].dtype))
+    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+    if features.shape[0] != tokens.shape[0]:
+        raise ShapeError(
+            f"batch mismatch: {features.shape[0]} feature rows, {tokens.shape[0]} questions"
+        )
+    if features.shape[1] != cfg.feature_dim:
+        raise ShapeError(f"feature dim {features.shape[1]} != configured {cfg.feature_dim}")
+    caches = head(cfg, store, features, question_branch(store, tokens), mode)
+    caches["tokens"] = tokens
+    return softmax(caches["logits"]), caches
 
 
 def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
@@ -276,13 +291,12 @@ def encode_question(cfg: ModelConfig, store: ParamStore, token_ids) -> np.ndarra
 def encode_questions(cfg: ModelConfig, store: ParamStore, token_id_lists) -> np.ndarray:
     """N x H question embeddings in input order, one encoder call per
     equal-length batch of at most 256 questions."""
-    table = store["embed.table"]
-    params = enc.GruParams.from_store(store)
-    out = np.empty((len(token_id_lists), params.hidden_dim), dtype=table.dtype)
+    u_h = store["gru.u_h"]
+    out = np.empty((len(token_id_lists), u_h.shape[0]), dtype=u_h.dtype)
     for rows in length_batches(token_id_lists, 256):
         tokens = np.asarray([token_id_lists[i] for i in rows], dtype=np.int64)
         # the trace is dropped at once, so two buckets' traces never coexist
-        out[rows] = enc.gru_encode(enc.embed(tokens, table), params)[0]
+        out[rows] = question_branch(store, tokens)[0]
     return out
 
 

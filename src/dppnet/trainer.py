@@ -158,11 +158,8 @@ def encode_dataset(examples: list[QAExample], vocab: Vocabulary,
     if precision == "f32":
         feats = feats.astype(np.float32)
     ids = [vocab.encode_question(ex.question) for ex in examples]
-    targets = np.array(
-        [answers.class_of(ex.answers[0]) if answers.class_of(ex.answers[0]) is not None else -1
-         for ex in examples],
-        dtype=np.int64,
-    )
+    classes = (answers.class_of(ex.answers[0]) for ex in examples)
+    targets = np.array([-1 if c is None else c for c in classes], dtype=np.int64)
     return EncodedDataset(features=feats, token_ids=ids, targets=targets)
 
 

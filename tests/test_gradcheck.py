@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dppnet.errors import ConfigError
-from dppnet.gradcheck import grad_check, relative_error
+from dppnet.gradcheck import GradCheckReport, grad_check, relative_error
 from dppnet.tensor import ParamStore, softmax_xent
 
 
@@ -178,3 +178,94 @@ def test_oracle_suite_passes_where_central_differences_fell_short(seed):
     report = run_oracle_suite(seed)
     assert report["passed"], [m for m in report["modules"] if not m["passed"]]
     assert all(m["tolerance"] in (1e-5, 1e-6) for m in report["modules"])
+
+
+def test_full_model_instance_keeps_relu_inputs_off_the_kink():
+    # seed 76 drew an adapter pre-activation 7.6e-6 from the ReLU kink, inside
+    # the +-1e-5 stencil: model.dppnet failed adapter.w1 at rel err 0.27 and
+    # adapter.b1 at 0.02, though both gradients pass at eps 1e-7
+    from dppnet.oracles import run_oracle_suite
+
+    report = run_oracle_suite(76)
+    assert report["passed"], [m for m in report["modules"] if not m["passed"]]
+
+
+@pytest.mark.parametrize("variant", ["dppnet", "concat"])
+def test_full_model_oracle_loss_is_the_training_loss_for_every_tensor(monkeypatch, variant):
+    # bit for bit at the base point and with each trainable tensor's entry of
+    # largest gradient moved, so no cached encoding goes stale
+    from dppnet import model, oracles
+
+    seen = {}
+    loss_and_grads = model.loss_and_grads
+
+    def recorded(*args, **kwargs):
+        seen["call"] = args, kwargs
+        return loss_and_grads(*args, **kwargs)
+
+    def captured(loss_fn, store, grads, **kwargs):
+        seen["check"] = loss_fn, store
+        return GradCheckReport(tolerance=1e-5)
+
+    monkeypatch.setattr(model, "loss_and_grads", recorded)
+    monkeypatch.setattr(oracles, "grad_check", captured)
+    oracles.check_full_model(variant, np.random.default_rng(5))
+    loss_fn, store = seen["check"]
+    args, kwargs = seen["call"]
+    base, _, grads = loss_and_grads(*args, **kwargs)
+    assert loss_fn(store) == base
+    for name in (n for n in store.names() if store.is_trainable(n)):
+        w = store[name]
+        idx = np.unravel_index(np.abs(grads[name]).argmax(), w.shape)
+        orig = w[idx]
+        w[idx] = orig + 1e-5
+        moved = loss_and_grads(*args, **kwargs)[0]
+        if name.split(".")[0] in model.ENCODER_PREFIXES:
+            assert moved != base, name  # a stale encoding would show
+        assert loss_fn(store) == moved, name
+        w[idx] = orig
+        assert loss_fn(store) == base, name
+
+
+@pytest.mark.parametrize("name", ["gru.u_h", "cls.w"])
+def test_full_model_oracle_catches_a_scaled_gradient(monkeypatch, name):
+    # a 0.1% error on one encoder tensor and on one head tensor each fails
+    from dppnet import model, oracles
+
+    loss_and_grads = model.loss_and_grads
+
+    def scaled(*args, **kwargs):
+        loss, caches, grads = loss_and_grads(*args, **kwargs)
+        grads[name] = 1.001 * grads[name]
+        return loss, caches, grads
+
+    monkeypatch.setattr(model, "loss_and_grads", scaled)
+    report = oracles.check_full_model("dppnet", np.random.default_rng(0))
+    assert [t.name for t in report.tensors if not t.passed] == [name]
+
+
+@pytest.mark.parametrize("variant", ["dppnet", "concat"])
+def test_full_model_oracle_encodes_only_moved_questions(monkeypatch, variant):
+    from dppnet import encoder, model, oracles
+
+    encodes = []
+    gru_encode = encoder.gru_encode
+    monkeypatch.setattr(encoder, "gru_encode", lambda *a: encodes.append(1) or gru_encode(*a))
+    moved = []
+
+    def counted(loss_fn, store, grads, **kwargs):
+        names = [n for n in store.names() if n.split(".")[0] in model.ENCODER_PREFIXES]
+        base = {n: store[n].copy() for n in names}
+
+        def loss(s):
+            moved.append(any(not np.array_equal(s[n], base[n]) for n in names))
+            return loss_fn(s)
+
+        encodes.clear()  # only the check's own evaluations count
+        return grad_check(loss, store, grads, **kwargs)
+
+    monkeypatch.setattr(oracles, "grad_check", counted)
+    report = oracles.check_full_model(variant, np.random.default_rng(0))
+    assert report.passed
+    assert 0 < sum(moved) < len(moved)
+    assert len(encodes) <= sum(moved) + 1

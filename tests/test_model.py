@@ -9,6 +9,7 @@ from dppnet import model as mdl, trainer
 from dppnet.config import ModelConfig, RunConfig
 from dppnet.data import build_vocab
 from dppnet.errors import CheckpointError, ConfigError, ShapeError
+from dppnet.tensor import softmax
 
 
 @pytest.fixture
@@ -19,6 +20,19 @@ def toy_cfg():
 @pytest.fixture
 def toy_store(toy_cfg):
     return mdl.init_params(toy_cfg, "f64", seed=11)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes, through tuples and dataclasses."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and same_bits(vars(a), vars(b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
 
 
 def toy_batch(cfg, rng, batch=3, steps=4):
@@ -66,6 +80,20 @@ class TestForward:
         mean, var = caches["bn_running"]
         assert not np.array_equal(mean, store["bn.running_mean"])
         assert not np.array_equal(var, store["bn.running_var"])
+
+    @pytest.mark.parametrize("variant", ["dppnet", "concat"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_forward_is_head_of_question_branch(self, variant, mode):
+        # the two stages the oracle calls separately give forward's bits
+        cfg = toy_model_config(variant=variant)
+        store = mdl.init_params(cfg, "f64", seed=17)
+        feats, tokens = toy_batch(cfg, np.random.default_rng(8))
+        probs, caches = mdl.forward(cfg, store, feats, tokens, mode=mode)
+        staged = mdl.head(cfg, store, feats, mdl.question_branch(store, tokens), mode)
+        assert same_bits(probs, softmax(staged["logits"]))
+        assert set(caches) == set(staged) | {"tokens"}
+        for key, value in staged.items():
+            assert same_bits(caches[key], value), key
 
     def test_batch_mismatch_rejected(self, toy_cfg, toy_store):
         rng = np.random.default_rng(3)
