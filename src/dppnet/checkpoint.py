@@ -2,13 +2,19 @@
 
 A checkpoint directory holds a JSON manifest listing name, shape, dtype and
 byte offset per tensor, and one binary blob of little-endian scalars in
-manifest order.  Round trips are bit-exact.
+manifest order.  Round trips are bit-exact.  replacing swaps a whole
+checkpoint directory for a freshly written one.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
+import shutil
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +55,47 @@ def save_params(store: ParamStore, directory) -> None:
     manifest = {"format": _FORMAT, "byte_order": "little", "entries": entries}
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1))
     (directory / BLOB_NAME).write_bytes(b"".join(chunks))
+
+
+@contextmanager
+def replacing(directory, names):
+    """Yield a new sibling directory that takes directory's place when the block succeeds.
+
+    os.replace cannot replace a non-empty directory, so an existing one is
+    renamed aside first and removed once the new one is in place.  It may
+    hold only files named in names: anything else raises FileExistsError
+    before a byte is written.  If the block raises, the new directory is
+    removed and directory is left as it was.
+    """
+    directory = Path(os.path.realpath(directory))  # a symlink keeps pointing at the checkpoint
+    if directory.is_dir():
+        others = sorted(set(os.listdir(directory)) - set(names))
+        if others:
+            raise FileExistsError(errno.EEXIST, "not a checkpoint file",
+                                  str(directory / others[0]))
+    elif directory.exists():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(directory))
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    new = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
+    new.mkdir()
+    old = None
+    try:
+        yield new
+        if directory.exists():
+            old = new.with_name(new.name + ".old")
+            os.rename(directory, old)
+            try:
+                os.rename(new, directory)
+            except BaseException:
+                os.rename(old, directory)
+                raise
+        else:
+            os.rename(new, directory)
+    except BaseException:
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    if old is not None:
+        shutil.rmtree(old)
 
 
 def _is_count(value) -> bool:

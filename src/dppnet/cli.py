@@ -126,10 +126,8 @@ def cmd_train(args) -> int:
         ),
     )
     out = Path(args.out)
-    mdl.save_model(out, result.run_config, result.store, result.vocab, result.answers)
-    with (out / "log.jsonl").open("w") as fh:
-        for entry in result.log:
-            fh.write(json.dumps(entry) + "\n")
+    mdl.save_model(out, result.run_config, result.store, result.vocab, result.answers,
+                   log=result.log)
     counts = mdl.parameter_counts(result.run_config.model)
     _emit(
         {
@@ -141,7 +139,7 @@ def cmd_train(args) -> int:
             "aborted": result.aborted,
             "seconds": round(time.time() - started, 2),
             "param_counts": counts,
-            "log": str(out / "log.jsonl"),
+            "log": str(out / mdl.LOG_NAME),
         }
     )
     return 1 if result.aborted else 0

@@ -2,18 +2,20 @@
 
 Forward maps input features through a weight matrix that is never stored:
 entry (m, n) is candidates[bucket(m, n)] * sign(m, n), where the candidate
-vector comes from the question encoder.  Forward and backward walk the
-batch x out_dim plane in blocks of at most hashing.BLOCK_BUDGET gathered
-weights (at least one output row for the whole batch), so transient memory
-stays O(BLOCK_BUDGET + batch * (in + out + candidates)) however large
+vector comes from the question encoder.  Both passes walk the grid in row
+blocks of at most hashing.BLOCK_BUDGET positions (at least one output row),
+whatever the batch, and gather weights in tiles nested in them of at most
+BLOCK_BUDGET batch x row x in_dim entries, so transient memory stays
+O(BLOCK_BUDGET + batch * (in + out + candidates)) however large
 out_dim * in_dim grows.  The layer reads one signed-bucket code per
 position (hashing.SpecCodes, code = bucket + K * (sign < 0)): forward and
 the d_features half of backward gather signed weights straight from a
-per-tile table [p, p * -1.0] by code, and the d_candidates sums decode
-bucket and sign from it.  The codes of a spec are hashed once and kept
-while every cached spec fits hashing.CACHE_BYTES; a spec that does not fit
-is hashed block by block on every call.  materialize_weights exists only as
-a test and diagnostic oracle.
+per-tile table [p, p * -1.0] by code.  The d_candidates half decodes a row
+block's buckets and signs once, builds its bincount keys once, and runs one
+bincount per group of batch rows that fits the budget.  The codes of a spec
+are hashed once and kept while every cached spec fits hashing.CACHE_BYTES; a
+spec that does not fit is hashed row block by row block on every call.
+materialize_weights exists only as a test and diagnostic oracle.
 """
 
 from __future__ import annotations
@@ -41,62 +43,42 @@ def _as_batch(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _tiles(codes: hashing.SpecCodes, p: np.ndarray, decode: bool):
-    """Yield (batch rows, signed table, lo, hi, codes, *decoded) blocks covering batch x out_dim.
+def _blocks(codes: hashing.SpecCodes, p: np.ndarray):
+    """Yield (lo, hi, codes, tiles) over the row blocks of the grid, in order.
 
-    The signed table of a tile is [p, p * -1.0] per batch row, so code c
-    gathers the signed weight table[:, c], the same IEEE product as
-    p[bucket] * sign.  With decode, each block also carries its int64
-    buckets and f64 signs.  A grid that fits one block is taken whole and
-    decoded once, and the batch split to fit the budget, so a batch row's
-    bucket sums come from one block and need no carry.  A larger grid is
-    split over output rows for the whole batch, under one table.
+    A row block holds as many output rows as keep rows * in_dim within
+    BLOCK_BUDGET, whatever the batch, or the whole grid when it fits; the
+    d_candidates sums are formed once per block.  tiles yields the gather
+    tiles nested in the block, (batch rows, signed table, output rows,
+    codes).  The signed table of a tile is [p, p * -1.0] per batch row, so
+    code c gathers the signed weight table[:, c], the same IEEE product as
+    p[bucket] * sign.  A grid that fits the budget is gathered whole, for as
+    many batch rows at a time as fit, each group under its own table.  A
+    larger grid is gathered for the whole batch under one table, as many
+    output rows at a time as fit and at least one, and its row blocks are a
+    multiple of that.
     """
     if not len(p):
         return
     spec = codes.spec
     grid = spec.out_dim * spec.in_dim
-    if grid > hashing.BLOCK_BUDGET:
-        table = _signed_table(p)
-        for lo, hi, block in codes.blocks(len(p)):
-            yield (slice(None), table, lo, hi, block, *_decoded(codes, block, decode))
+    if grid <= hashing.BLOCK_BUDGET:
+        width = hashing.BLOCK_BUDGET // grid
+        (lo, hi, block), = codes.blocks(spec.out_dim)
+        groups = (slice(b0, b0 + width) for b0 in range(0, len(p), width))
+        yield lo, hi, block, ((rows, _signed_table(p[rows]), slice(lo, hi), block)
+                              for rows in groups)
         return
-    width = hashing.BLOCK_BUDGET // grid
-    (lo, hi, block), = codes.blocks(width)
-    decoded = _decoded(codes, block, decode)
-    for b0 in range(0, len(p), width):
-        rows = slice(b0, b0 + width)
-        yield (rows, _signed_table(p[rows]), lo, hi, block, *decoded)
+    step = max(1, hashing.BLOCK_BUDGET // (len(p) * spec.in_dim))
+    rows = max(step, hashing.BLOCK_BUDGET // spec.in_dim // step * step)
+    table = _signed_table(p)
+    for lo, hi, block in codes.blocks(rows):
+        yield lo, hi, block, ((slice(None), table, slice(lo + r, min(lo + r + step, hi)),
+                               block[r:r + step]) for r in range(0, hi - lo, step))
 
 
 def _signed_table(p: np.ndarray) -> np.ndarray:
     return np.concatenate([p, p * -1.0], axis=1)
-
-
-def _decoded(codes: hashing.SpecCodes, block: np.ndarray, decode: bool) -> tuple:
-    return (codes.buckets.take(block), codes.signs.take(block)) if decode else ()
-
-
-def _bucket_sums(x, dm, buckets, signs, k: int, carry) -> np.ndarray:
-    """d_candidates of one block: sign * x * delta summed per (batch row, bucket).
-
-    One bincount adds the terms in row-major (m, n) order per batch row after
-    the carried sums of earlier rows, if any, so the result equals sequential
-    accumulation over the whole grid bit for bit.
-    """
-    nb = len(dm)
-    shape = (nb, *buckets.shape)
-    head = 0 if carry is None else nb * k
-    keys = np.empty(head + nb * buckets.size, dtype=np.int64)
-    vals = np.empty(len(keys))  # bincount sums in f64 whatever the input
-    if carry is not None:
-        keys[:head] = np.arange(head)
-        vals[:head] = carry.ravel()
-    np.add(np.arange(0, nb * k, k)[:, None, None], buckets, out=keys[head:].reshape(shape))
-    terms = vals[head:].reshape(shape)
-    np.multiply(x[:, None, :], dm[:, :, None], out=terms)
-    terms *= signs
-    return np.bincount(keys, vals, minlength=nb * k).reshape(nb, k)
 
 
 def dyn_forward(features, candidates, bias: np.ndarray, spec: HashSpec) -> np.ndarray:
@@ -110,8 +92,9 @@ def dyn_forward(features, candidates, bias: np.ndarray, spec: HashSpec) -> np.nd
     if bias.shape != (spec.out_dim,):
         raise ShapeError(f"bias shape {bias.shape} != ({spec.out_dim},)")
     out = np.empty((x.shape[0], spec.out_dim), dtype=x.dtype)
-    for rows, table, lo, hi, block in _tiles(hashing.spec_codes(spec), p, decode=False):
-        out[rows, lo:hi] = np.einsum("bmn,bn->bm", table.take(block, axis=1), x[rows])
+    for _, _, _, tiles in _blocks(hashing.spec_codes(spec), p):
+        for rows, table, cols, tile in tiles:
+            out[rows, cols] = np.einsum("bmn,bn->bm", table.take(tile, axis=1), x[rows])
     out += bias
     return out[0] if (single_x and single_p) else out
 
@@ -120,8 +103,10 @@ def dyn_backward(features, candidates, d_out, spec: HashSpec):
     """Gradients of the hashed affine map: (d_features, d_candidates, d_bias).
 
     Every weight position feeding bucket k contributes sign * input * delta to
-    d_candidates[k]; accumulation runs row-major over (m, n) so results are
-    bit-reproducible.
+    d_candidates[k].  Per row block and group of batch rows, one bincount adds
+    the terms in row-major (m, n) order per batch row after the sums carried
+    from earlier blocks, so d_candidates equals sequential accumulation over
+    the whole grid bit for bit.
     """
     x, single_x = _as_batch(features, spec.in_dim, "input features")
     p, single_p = _as_batch(candidates, spec.num_candidates, "candidate vector")
@@ -131,17 +116,40 @@ def dyn_backward(features, candidates, d_out, spec: HashSpec):
         raise ShapeError(
             f"batch mismatch: features {b}, candidates {p.shape[0]}, output grad {d.shape[0]}"
         )
+    k = spec.num_candidates
+    codes = hashing.spec_codes(spec)
     dx = np.zeros_like(x)
     dp = np.zeros(p.shape)
-    for rows, table, lo, hi, block, buckets, signs in _tiles(
-            hashing.spec_codes(spec), p, decode=True):
-        dm = d[rows, lo:hi]
-        dx[rows] += np.einsum("bmn,bm->bn", table.take(block, axis=1), dm)
-        del table  # a one-block tile's table goes before its bucket sums are formed
-        dp[rows] = _bucket_sums(
-            x[rows], dm, buckets, signs, spec.num_candidates, dp[rows] if lo else None
-        )
-        del buckets, signs  # and a row block's codes before the next one is decoded
+    keys = None
+    for lo, hi, block, tiles in _blocks(codes, p):
+        for rows, table, cols, tile in tiles:
+            dx[rows] += np.einsum("bmn,bm->bn", table.take(tile, axis=1), d[rows, cols])
+        del table  # a whole-grid tile's table goes before the block's sums are formed
+        if keys is None:  # sized by the first block, room for the carry when more follow
+            group = min(b, max(1, hashing.BLOCK_BUDGET // block.size))
+            keys = np.empty(group * (block.size + k * (hi < spec.out_dim)), dtype=np.int64)
+            vals = np.empty(len(keys))  # bincount sums in f64 whatever the input
+        # per batch row j of a group: its carried sums keyed j * K + k, then
+        # its terms keyed j * K + bucket, in row-major order
+        head = k if lo else 0
+        width = head + block.size
+        key_rows = keys[:group * width].reshape(group, width)
+        offsets = np.arange(0, group * k, k)[:, None]
+        key_rows[:, :head] = offsets + np.arange(head)
+        np.add(offsets, codes.buckets.take(block.ravel()), out=key_rows[:, head:])
+        signs = codes.signs.take(block)
+        for b0 in range(0, b, group):
+            rows = slice(b0, b0 + group)
+            n = min(group, b - b0)
+            val_rows = vals[:n * width].reshape(n, width)
+            val_rows[:, :head] = dp[rows, :head]
+            terms = val_rows[:, head:].reshape(n, hi - lo, spec.in_dim)
+            np.multiply(x[rows, None, :], d[rows, lo:hi, None], out=terms)
+            terms *= signs
+            dp[rows] = np.bincount(
+                key_rows[:n].ravel(), val_rows.ravel(), minlength=n * k
+            ).reshape(n, k)
+        del signs  # before the next block's weights are gathered
     dp = dp.astype(p.dtype, copy=False)
     db = d.sum(axis=0)
     if single_x and single_p and single_d:

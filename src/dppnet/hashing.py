@@ -157,16 +157,18 @@ class SpecCodes:
         grid = 0 if self.grid is None else self.grid.nbytes
         return grid + self.buckets.nbytes + self.signs.nbytes
 
-    def blocks(self, batch: int = 1):
+    def blocks(self, rows: int | None = None):
         """Yield (lo, hi, codes) over all output rows, in order.
 
-        Each block holds as many rows as keep batch * rows * in_dim within
-        BLOCK_BUDGET, and at least one; codes is a (hi - lo, in_dim) array,
-        a read-only view of the grid when the spec is cached and freshly
-        hashed int64 codes otherwise.
+        Each block holds rows output rows (the last one what is left); by
+        default as many as keep rows * in_dim within BLOCK_BUDGET, and at
+        least one.  codes is a (hi - lo, in_dim) array, a read-only view of
+        the grid when the spec is cached and freshly hashed int64 codes
+        otherwise.
         """
         spec = self.spec
-        rows = max(1, BLOCK_BUDGET // (batch * spec.in_dim))
+        if rows is None:
+            rows = max(1, BLOCK_BUDGET // spec.in_dim)
         for lo in range(0, spec.out_dim, rows):
             hi = min(lo + rows, spec.out_dim)
             if self.grid is None:
@@ -200,14 +202,14 @@ def spec_codes(spec: HashSpec) -> SpecCodes:
     return codes
 
 
-def row_blocks(spec: HashSpec, batch: int = 1):
-    """Yield (lo, hi, buckets, signs) over the blocks of SpecCodes.blocks.
+def row_blocks(spec: HashSpec):
+    """Yield (lo, hi, buckets, signs) over the default blocks of SpecCodes.blocks.
 
     The decoded, read-only view of the codes: buckets is an int64 and signs
     an int8 (hi - lo, in_dim) array.
     """
     codes = spec_codes(spec)
-    for lo, hi, block in codes.blocks(batch):
+    for lo, hi, block in codes.blocks():
         buckets, signs = codes.buckets[block], codes.signs[block].astype(np.int8)
         buckets.setflags(write=False)
         signs.setflags(write=False)

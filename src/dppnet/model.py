@@ -326,16 +326,25 @@ def retrieve_similar(cfg: ModelConfig, store: ParamStore, vocab: Vocabulary,
 CONFIG_NAME = "config.json"
 VOCAB_NAME = "vocab.json"
 ANSWERS_NAME = "answers.json"
+LOG_NAME = "log.jsonl"
+CHECKPOINT_FILES = (ckpt.MANIFEST_NAME, ckpt.BLOB_NAME, CONFIG_NAME, VOCAB_NAME,
+                    ANSWERS_NAME, LOG_NAME)
 
 
 def save_model(directory, run_config: RunConfig, store: ParamStore,
-               vocab: Vocabulary, answers: AnswerSpace) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    ckpt.save_params(store, directory)
-    run_config.save(directory / CONFIG_NAME)
-    (directory / VOCAB_NAME).write_text(json.dumps(vocab.as_dict(), indent=1))
-    (directory / ANSWERS_NAME).write_text(json.dumps(answers.as_list(), indent=1))
+               vocab: Vocabulary, answers: AnswerSpace, log=None) -> None:
+    """Write a checkpoint, with log.jsonl holding the records of log when given.
+
+    The files go to a sibling directory that then replaces directory whole,
+    so a failure part way leaves the previous checkpoint as it was.
+    """
+    with ckpt.replacing(directory, CHECKPOINT_FILES) as new:
+        ckpt.save_params(store, new)
+        run_config.save(new / CONFIG_NAME)
+        (new / VOCAB_NAME).write_text(json.dumps(vocab.as_dict(), indent=1))
+        (new / ANSWERS_NAME).write_text(json.dumps(answers.as_list(), indent=1))
+        if log is not None:
+            (new / LOG_NAME).write_text("".join(json.dumps(entry) + "\n" for entry in log))
 
 
 def load_model(directory):

@@ -24,6 +24,7 @@ from .tensor import (
     batchnorm_backward,
     matmul,
     softmax_xent,
+    xent,
 )
 
 TOY = ModelConfig(
@@ -68,7 +69,7 @@ def check_softmax_xent(rng) -> GradCheckReport:
     targets = rng.integers(0, 7, size=5)
 
     def loss_fn(s):
-        return softmax_xent(s["logits"], targets)[0]
+        return xent(s["logits"], targets)
 
     grads = {"logits": softmax_xent(logits, targets)[1]}
     return grad_check(loss_fn, _store(logits=logits), grads)
@@ -217,7 +218,7 @@ def check_full_model(variant: str, rng, batch: int = 2) -> GradCheckReport:
         if key != encoded[0]:
             encoded[:] = key, mdl.question_branch(s, tokens)
         caches = mdl.head(cfg, s, feats, encoded[1], "train")
-        return softmax_xent(caches["logits"], targets)[0]
+        return xent(caches["logits"], targets)
 
     return grad_check(loss_fn, store, grads)
 

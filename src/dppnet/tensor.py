@@ -80,8 +80,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_xent(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. the logits."""
+def _log_softmax_loss(logits: np.ndarray, targets):
+    """(mean cross-entropy, log-probabilities, targets) after checking the shapes."""
     if logits.ndim != 2:
         raise ShapeError(f"softmax_xent expects B x C logits, got {logits.shape}")
     targets = np.asarray(targets)
@@ -92,7 +92,18 @@ def softmax_xent(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
         raise ShapeError(f"target index out of range for {c} classes: {targets}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     logprobs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-logprobs[np.arange(b), targets].mean())
+    return float(-logprobs[np.arange(b), targets].mean()), logprobs, targets
+
+
+def xent(logits: np.ndarray, targets) -> float:
+    """Mean cross-entropy over the batch: the loss of softmax_xent, no gradient."""
+    return _log_softmax_loss(logits, targets)[0]
+
+
+def softmax_xent(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch and its gradient w.r.t. the logits."""
+    loss, logprobs, targets = _log_softmax_loss(logits, targets)
+    b = len(logprobs)
     dlogits = np.exp(logprobs)
     dlogits[np.arange(b), targets] -= 1.0
     dlogits /= b

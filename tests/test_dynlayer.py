@@ -353,6 +353,19 @@ def test_spec_above_cache_limit_is_not_cached(monkeypatch):
     assert spec not in hashing._grid_cache
 
 
+def test_spec_above_cache_limit_is_hashed_once_per_backward(monkeypatch):
+    # batch 3: 54-row gather tiles nest in row blocks of 162 rows, each hashed once
+    spec = HashSpec(out_dim=200, in_dim=200, num_candidates=8)
+    monkeypatch.setattr(hashing, "CACHE_BYTES", code_bytes(spec) - 1)
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    calls = _counting_bucket_row(monkeypatch)
+    rng = np.random.default_rng(16)
+    x, p, d = rng.normal(size=(3, 200)), rng.normal(size=(3, 8)), rng.normal(size=(3, 200))
+    dyn_backward(x, p, d, spec)
+    assert [(args[0], args[2]) for args in calls] == [(0, 162), (162, 200)]
+    assert spec not in hashing._grid_cache
+
+
 def test_spec_cache_is_bounded(monkeypatch):
     # eleven 256 KiB code grids against a 2 MiB budget
     monkeypatch.setattr(hashing, "_grid_cache", {})
@@ -441,21 +454,25 @@ def test_wide_layer_matches_dense_at_full_size(dtype):
     buckets = hashing.bucket_row(0, spec, spec.out_dim)
     signs = hashing.sign_row(0, spec, spec.out_dim)
     rng = np.random.default_rng(14)
-    x = rng.normal(size=(2, 1024)).astype(dtype)
-    p = rng.normal(size=(2, 8)).astype(dtype)
-    bias = rng.normal(size=1024).astype(dtype)
-    d = rng.normal(size=(2, 1024)).astype(dtype)
-    w = np.stack([materialize_weights(row, spec) for row in p])
-    assert np.array_equal(w, np.take(p, buckets, axis=1) * signs)
     tol = 1e-12 if dtype == np.float64 else 1e-4
-    out = dyn_forward(x, p, bias, spec)
-    np.testing.assert_allclose(out, (w @ x[:, :, None])[..., 0] + bias, rtol=tol, atol=tol)
-    dx, dp, db = dyn_backward(x, p, d, spec)
-    np.testing.assert_allclose(dx, (d[:, None, :] @ w)[:, 0], rtol=tol, atol=tol)
-    assert out.dtype == dx.dtype == dp.dtype == dtype
-    # f32 products are formed in f32 and summed in f64, then rounded once
-    assert np.array_equal(dp, sequential_dp(x, d, buckets, signs, 8).astype(dtype))
-    assert np.array_equal(db, d.sum(axis=0))
+    # 10 and 11 are batches the trainer streams: d_candidates is carried
+    # across row blocks of 30 rows (ten 3-row gather tiles) and of 32 rows
+    for batch in (2, 10, 11):
+        x = rng.normal(size=(batch, 1024)).astype(dtype)
+        p = rng.normal(size=(batch, 8)).astype(dtype)
+        bias = rng.normal(size=1024).astype(dtype)
+        d = rng.normal(size=(batch, 1024)).astype(dtype)
+        out = dyn_forward(x, p, bias, spec)
+        dx, dp, db = dyn_backward(x, p, d, spec)
+        assert out.dtype == dx.dtype == dp.dtype == dtype
+        for i in range(batch):  # one dense 1024 x 1024 matrix at a time
+            w = materialize_weights(p[i], spec)
+            assert np.array_equal(w, p[i][buckets] * signs)
+            np.testing.assert_allclose(out[i], w @ x[i] + bias, rtol=tol, atol=tol)
+            np.testing.assert_allclose(dx[i], d[i] @ w, rtol=tol, atol=tol)
+        # f32 products are formed in f32 and summed in f64, then rounded once
+        assert np.array_equal(dp, sequential_dp(x, d, buckets, signs, 8).astype(dtype))
+        assert np.array_equal(db, d.sum(axis=0))
 
 
 def test_nonfinite_candidates_give_the_bits_of_take_times_sign():

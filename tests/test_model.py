@@ -237,6 +237,57 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError):
             mdl.load_model(tmp_path)
 
+    @staticmethod
+    def _checkpoint(toy_cfg, precision, seed):
+        from dppnet.data import QAExample
+
+        examples = [QAExample(features=np.zeros(2), question="what is it", answers=["x"])]
+        vocab, answers = build_vocab(examples)
+        cfg = dataclasses.replace(toy_cfg, vocab_size=len(vocab), num_answers=len(answers))
+        rc = RunConfig(model=cfg, precision=precision)
+        return rc, mdl.init_params(cfg, precision, seed=seed), vocab, answers
+
+    def test_failed_save_leaves_the_old_checkpoint(self, tmp_path, toy_cfg, monkeypatch):
+        from pathlib import Path
+
+        directory = tmp_path / "ckpt"
+        old = self._checkpoint(toy_cfg, "f64", 17)
+        mdl.save_model(directory, *old, log=[{"epoch": 1}])
+        saved = {p.name: p.read_bytes() for p in directory.iterdir()}
+        assert set(saved) == set(mdl.CHECKPOINT_FILES)
+
+        def fail(self, data):  # the blob, written right after the manifest
+            raise OSError("no space left")
+
+        monkeypatch.setattr(Path, "write_bytes", fail)
+        with pytest.raises(OSError, match="no space"):
+            mdl.save_model(directory, *self._checkpoint(toy_cfg, "f32", 18), log=[])
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        _, store, _, _ = mdl.load_model(directory)
+        assert all(same_bits(store[n], old[1][n]) for n in old[1].names())
+
+    def test_save_replaces_a_checkpoint_whole(self, tmp_path, toy_cfg):
+        directory = tmp_path / "ckpt"
+        mdl.save_model(directory, *self._checkpoint(toy_cfg, "f64", 19), log=[{"epoch": 1}])
+        new = self._checkpoint(toy_cfg, "f32", 20)
+        mdl.save_model(directory, *new)
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            set(mdl.CHECKPOINT_FILES) - {mdl.LOG_NAME})
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        rc, store, _, _ = mdl.load_model(directory)
+        assert rc.precision == "f32"
+        assert all(same_bits(store[n], new[1][n]) for n in new[1].names())
+
+    def test_save_leaves_a_directory_of_other_files_alone(self, tmp_path, toy_cfg):
+        (tmp_path / "notes.txt").write_text("keep")
+        with pytest.raises(FileExistsError, match="notes.txt"):
+            mdl.save_model(tmp_path, *self._checkpoint(toy_cfg, "f64", 21))
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+        with pytest.raises(FileExistsError):
+            mdl.save_model(tmp_path / "notes.txt", *self._checkpoint(toy_cfg, "f64", 21))
+
 
 class TestRetrieval:
     def test_identical_question_ranks_first_with_similarity_one(self, toy_cfg, toy_store):

@@ -16,6 +16,7 @@ from dppnet.tensor import (
     matmul,
     softmax,
     softmax_xent,
+    xent,
 )
 
 
@@ -110,6 +111,17 @@ class TestSoftmaxXent:
             softmax_xent(np.zeros((2, 3)), [0, 3])
         with pytest.raises(ShapeError):
             softmax_xent(np.zeros((2, 3)), [-1, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_loss_alone_has_the_bits_of_softmax_xent(self, dtype):
+        rng = np.random.default_rng(4)
+        logits = (rng.normal(size=(5, 7)) * 10).astype(dtype)
+        targets = rng.integers(0, 7, size=5)
+        assert xent(logits, targets) == softmax_xent(logits, targets)[0]
+        with pytest.raises(ShapeError):
+            xent(logits, targets[:4])
+        with pytest.raises(ShapeError):
+            xent(logits, np.full(5, 7))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
