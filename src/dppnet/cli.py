@@ -273,12 +273,20 @@ def cmd_hash_stats(args) -> int:
         seed_bucket=args.seed_bucket,
         seed_sign=args.seed_sign,
     )
-    report = hashing.hash_stats(spec)
-    if args.materialize_candidates:
+    materialized = None
+    if args.materialize_candidates is not None:
         from .dynlayer import materialize_weights
 
-        candidates = np.asarray(json.loads(args.materialize_candidates), dtype=np.float64)
-        report["materialized"] = materialize_weights(candidates, spec).tolist()
+        try:
+            values = json.loads(args.materialize_candidates)
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"--materialize-candidates: invalid JSON ({e})") from e
+        candidates = validate_features(values, "--materialize-candidates")
+        # before hash_stats, which walks the whole grid the size guard may refuse
+        materialized = materialize_weights(candidates, spec).tolist()
+    report = hashing.hash_stats(spec)
+    if materialized is not None:
+        report["materialized"] = materialized
     _emit(report)
     return 0
 

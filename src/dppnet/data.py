@@ -53,8 +53,8 @@ class Vocabulary:
     @classmethod
     def from_examples(cls, examples) -> "Vocabulary":
         seen = set()
-        for ex in examples:
-            seen.update(tokenize(ex.question))
+        for question in {ex.question for ex in examples}:
+            seen.update(tokenize(question))
         return cls(sorted(seen))
 
     @classmethod
@@ -89,6 +89,16 @@ class Vocabulary:
         if not ids:
             raise DataFormatError(f"question tokenizes to nothing: {question!r}")
         return ids
+
+    def encode_questions(self, questions) -> list[list[int]]:
+        """encode_question of each question, in input order.
+
+        Each distinct string is tokenized once, and its repeats share one id
+        list, which callers must not mutate.
+        """
+        questions = list(questions)
+        ids = {q: self.encode_question(q) for q in dict.fromkeys(questions)}
+        return [ids[q] for q in questions]
 
     def as_dict(self) -> dict:
         return dict(self._ids)

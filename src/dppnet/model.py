@@ -162,15 +162,8 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
     return caches
 
 
-def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
-    """Full forward pass, head(question_branch); returns (answer distribution, caches).
-
-    `tokens` is a B x T batch of equal-length token id sequences; `features`
-    is B x F.  In train mode batch statistics normalize the pre-classifier
-    activations.  The store is only read: caches["bn_running"] is the
-    (running_mean, running_var) pair after this batch, for the trainer to
-    commit (in eval mode, the store's own pair).
-    """
+def _batch(cfg: ModelConfig, store: ParamStore, features, tokens):
+    """The (features, tokens) of a batch as validated 2-D arrays."""
     cfg.require_resolved()
     features = np.atleast_2d(np.asarray(features, dtype=store["adapter.w1"].dtype))
     tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
@@ -180,6 +173,19 @@ def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
         )
     if features.shape[1] != cfg.feature_dim:
         raise ShapeError(f"feature dim {features.shape[1]} != configured {cfg.feature_dim}")
+    return features, tokens
+
+
+def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
+    """Full forward pass, head(question_branch); returns (answer distribution, caches).
+
+    `tokens` is a B x T batch of equal-length token id sequences; `features`
+    is B x F.  In train mode batch statistics normalize the pre-classifier
+    activations.  The store is only read: caches["bn_running"] is the
+    (running_mean, running_var) pair after this batch, for the trainer to
+    commit (in eval mode, the store's own pair).
+    """
+    features, tokens = _batch(cfg, store, features, tokens)
     caches = head(cfg, store, features, question_branch(store, tokens), mode)
     caches["tokens"] = tokens
     return softmax(caches["logits"]), caches
@@ -232,15 +238,33 @@ def loss_and_grads(cfg: ModelConfig, store: ParamStore, features, tokens, target
     return loss, caches, grads
 
 
+def _distinct(sequences) -> tuple[list[tuple], list[int]]:
+    """The distinct sequences, as tuples in first-occurrence order, and each
+    input sequence's index among them."""
+    index: dict[tuple, int] = {}
+    inverse = [index.setdefault(tuple(seq), len(index)) for seq in sequences]
+    return list(index), inverse
+
+
 def predict_classes(cfg: ModelConfig, store: ParamStore, features, tokens,
                     choice_mask=None) -> np.ndarray:
-    """Most probable answer class per example; ties break to the lowest index.
+    """Most probable answer class per example, in eval mode; ties break to
+    the lowest index.
 
+    The predicted weights depend on the question alone, so the encoder runs
+    once per distinct question of the batch and its rows are shared.
     choice_mask, when given, restricts the argmax to a B x num_answers boolean
     candidate set (multiple-choice evaluation); a row with no allowed class
     yields -1.
     """
-    probs, _ = forward(cfg, store, features, tokens, mode="eval")
+    features, tokens = _batch(cfg, store, features, tokens)
+    if len(tokens) > 1:
+        distinct, inverse = _distinct(tokens.tolist())
+        h_last, trace = question_branch(store, np.asarray(distinct, dtype=np.int64))
+        encoding = h_last[inverse], trace
+    else:
+        encoding = question_branch(store, tokens)
+    probs = softmax(head(cfg, store, features, encoding, "eval")["logits"])
     if choice_mask is None:
         return probs.argmax(axis=1)
     masked = np.where(choice_mask, probs, -np.inf)
@@ -289,15 +313,19 @@ def encode_question(cfg: ModelConfig, store: ParamStore, token_ids) -> np.ndarra
 
 
 def encode_questions(cfg: ModelConfig, store: ParamStore, token_id_lists) -> np.ndarray:
-    """N x H question embeddings in input order, one encoder call per
-    equal-length batch of at most 256 questions."""
+    """N x H question embeddings in input order.
+
+    Each distinct token sequence is encoded once, in one encoder call per
+    equal-length batch of at most 256 distinct sequences; repeats share its row.
+    """
+    distinct, inverse = _distinct(token_id_lists)
     u_h = store["gru.u_h"]
-    out = np.empty((len(token_id_lists), u_h.shape[0]), dtype=u_h.dtype)
-    for rows in length_batches(token_id_lists, 256):
-        tokens = np.asarray([token_id_lists[i] for i in rows], dtype=np.int64)
+    emb = np.empty((len(distinct), u_h.shape[0]), dtype=u_h.dtype)
+    for rows in length_batches(distinct, 256):
+        tokens = np.asarray([distinct[i] for i in rows], dtype=np.int64)
         # the trace is dropped at once, so two buckets' traces never coexist
-        out[rows] = question_branch(store, tokens)[0]
-    return out
+        emb[rows] = question_branch(store, tokens)[0]
+    return emb[inverse]
 
 
 def retrieve_similar(cfg: ModelConfig, store: ParamStore, vocab: Vocabulary,
@@ -311,7 +339,7 @@ def retrieve_similar(cfg: ModelConfig, store: ParamStore, vocab: Vocabulary,
     if top_k < 1:
         raise ConfigError(f"--top-k must be >= 1, got {top_k}")
     hq = encode_question(cfg, store, vocab.encode_question(query))
-    emb = encode_questions(cfg, store, [vocab.encode_question(q) for q in corpus])
+    emb = encode_questions(cfg, store, vocab.encode_questions(corpus))
     denom = np.linalg.norm(emb, axis=1) * np.linalg.norm(hq)
     sims = np.divide(emb @ hq, denom, out=np.zeros(len(corpus)), where=denom > 0)
     order = np.argsort(-sims, kind="stable")[:top_k]

@@ -157,7 +157,7 @@ def encode_dataset(examples: list[QAExample], vocab: Vocabulary,
     feats = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in examples])
     if precision == "f32":
         feats = feats.astype(np.float32)
-    ids = [vocab.encode_question(ex.question) for ex in examples]
+    ids = vocab.encode_questions(ex.question for ex in examples)
     classes = (answers.class_of(ex.answers[0]) for ex in examples)
     targets = np.array([-1 if c is None else c for c in classes], dtype=np.int64)
     return EncodedDataset(features=feats, token_ids=ids, targets=targets)
@@ -295,6 +295,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
         loss_sum = 0.0
         seen = 0
         correct = 0
+        grad_norms = []  # pre-clip global norm per step
         for rows in train_batches(train_data, schedule.batch_size, rng):
             feats, tokens, targets = _gather(train_data, rows)
             try:
@@ -311,7 +312,8 @@ def train(run_config: RunConfig, train_examples, val_examples,
             seen += len(rows)
             correct += int((caches["logits"].argmax(axis=1) == targets).sum())
             del caches  # two steps' caches (GRU trace included) never coexist
-            grads, _ = clip_gradients(grads, schedule.clip_threshold)
+            grads, norm = clip_gradients(grads, schedule.clip_threshold)
+            grad_norms.append(norm)
             adam_step(store, grads, adam)
         if aborted:
             break
@@ -326,6 +328,10 @@ def train(run_config: RunConfig, train_examples, val_examples,
                 "val_acc": val_acc,
                 "lr": schedule.lr,
                 "frozen": store.frozen_names(),
+                "grad_norm_mean": math.fsum(grad_norms) / len(grad_norms),
+                "grad_norm_max": max(grad_norms),
+                "clipped_fraction": sum(n > schedule.clip_threshold for n in grad_norms)
+                / len(grad_norms),
             }
         )
         if progress is not None:

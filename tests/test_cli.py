@@ -85,7 +85,8 @@ class TestTrainCommand:
             assert (tiny_checkpoint / name).exists()
         entries = [json.loads(l) for l in (tiny_checkpoint / "log.jsonl").read_text().splitlines()]
         assert entries[0]["epoch"] == 1
-        assert set(entries[0]) == {"epoch", "train_loss", "train_acc", "val_acc", "lr", "frozen"}
+        assert set(entries[0]) == {"epoch", "train_loss", "train_acc", "val_acc", "lr", "frozen",
+                                   "grad_norm_mean", "grad_norm_max", "clipped_fraction"}
 
     def test_saved_config_reruns_identically(self, capsys, tiny_data_dir,
                                              tiny_checkpoint, tmp_path):
@@ -371,6 +372,37 @@ class TestBoundaryRejections:
         error = json.loads(err)["error"]
         assert error["type"] == "ConfigError"
         assert "--top-k" in error["message"]
+
+    @pytest.mark.parametrize("bad", ["[1,", "", '"abc"', "[1e400, 1]", "[true, 2]", "[NaN, 1]",
+                                     "[1, [2]]"])
+    def test_materialize_candidates_rejected_naming_the_flag(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "hash-stats", "--m", "2", "--n", "3", "--k", "2",
+            "--materialize-candidates", bad,
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "DataFormatError"
+        assert error["message"].startswith("--materialize-candidates")
+
+    def test_materialize_size_refused_before_the_grid_walk(self, capsys, monkeypatch):
+        from dppnet import hashing
+
+        def walk(spec):
+            raise AssertionError("hash_stats walked the grid before the size guard")
+
+        monkeypatch.setattr(hashing, "hash_stats", walk)
+        code, out, err = run_cli(
+            capsys, "hash-stats", "--m", "70000", "--n", "70000", "--k", "2",
+            "--materialize-candidates", "[1, 2]",
+        )
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ShapeError"
+        assert "materialize_weights guard" in error["message"]
 
 
 class TestPredictionsFileShape:

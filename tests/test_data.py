@@ -75,6 +75,28 @@ class TestVocab:
         vocab, _ = build_vocab([make_example("what", ["x"])])
         with pytest.raises(DataFormatError):
             vocab.encode_question("??")
+        with pytest.raises(DataFormatError):
+            vocab.encode_questions(["what", "??", "what"])
+
+    def test_each_distinct_question_tokenized_once(self, monkeypatch):
+        from dppnet import data, trainer
+
+        train_ex, val_ex, _ = generate_synthetic(GenConfig(n_train=300, n_val=200, n_test=0), 5)
+        # per-example references, built before the spy goes in
+        want_vocab = Vocabulary(sorted({t for ex in train_ex for t in tokenize(ex.question)}))
+        want_ids = [want_vocab.encode_question(ex.question) for ex in val_ex]
+        calls = Counter()
+        real = data.tokenize
+        monkeypatch.setattr(data, "tokenize", lambda q: calls.update([q]) or real(q))
+
+        vocab, answers = build_vocab(train_ex)
+        assert vocab.as_dict() == want_vocab.as_dict()
+        assert calls == Counter({ex.question for ex in train_ex})
+        calls.clear()
+        encoded = trainer.encode_dataset(val_ex, vocab, answers, "f64")
+        assert encoded.token_ids == want_ids
+        assert calls == Counter({ex.question for ex in val_ex})
+        assert len(calls) < len(val_ex) / 4
 
     def test_vocab_mapping_round_trip(self):
         vocab, _ = build_vocab([make_example("b a c", ["x"])])

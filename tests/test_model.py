@@ -312,6 +312,25 @@ class TestRetrieval:
                                       [ex.question for ex in corpus_ex], top_k=50)
         assert len(ranked) == 2
 
+    def test_repeated_corpus_matches_per_question_cosine(self, toy_cfg, toy_store):
+        from dppnet.data import QAExample
+
+        questions = ("what color is it", "how many things", "is it red", "what is it")
+        pick = np.random.default_rng(25).integers(0, len(questions), size=300)
+        corpus = [questions[i] for i in pick]
+        vocab, _ = build_vocab([QAExample(np.zeros(1), q, ["a"]) for q in questions])
+        ranked = mdl.retrieve_similar(toy_cfg, toy_store, vocab, "is it", corpus, top_k=300)
+        hq = mdl.encode_question(toy_cfg, toy_store, vocab.encode_question("is it"))
+        for r in ranked:
+            h = mdl.encode_question(toy_cfg, toy_store, vocab.encode_question(r["question"]))
+            want = h @ hq / (np.linalg.norm(h) * np.linalg.norm(hq))
+            assert abs(r["similarity"] - want) <= 1e-12
+        # repeats of one question score alike, so they rank in corpus order
+        assert sorted(r["index"] for r in ranked) == list(range(300))
+        for q in questions:
+            at = [r["index"] for r in ranked if r["question"] == q]
+            assert at == sorted(at)
+
     def test_empty_corpus_rejected(self, toy_cfg, toy_store):
         from dppnet.data import Vocabulary
 
@@ -410,9 +429,31 @@ class TestEncodeQuestions:
         sizes = []
         real = enc.gru_encode
         monkeypatch.setattr(enc, "gru_encode", lambda x, p: sizes.append(x.shape[:2]) or real(x, p))
-        ids = [[1, 2, 3]] * 300 + [[4]] * 5
+        # distinct questions, so that none is shared: 300 of length 3 and 5 of length 1
+        v = toy_cfg.vocab_size
+        ids = [[i // (v * v), i // v % v, i % v] for i in range(300)] + [[i] for i in range(5)]
         mdl.encode_questions(toy_cfg, toy_store, ids)
         assert sorted(sizes) == [(5, 1), (44, 3), (256, 3)]
+
+    def test_gru_encodes_each_distinct_question_once(self, toy_cfg, toy_store, monkeypatch):
+        from dppnet import encoder as enc
+
+        rows = []
+        real = enc.gru_encode
+        monkeypatch.setattr(enc, "gru_encode", lambda x, p: rows.append(len(x)) or real(x, p))
+        v = toy_cfg.vocab_size
+        pool = [[1, 2, 3], [3, 2, 1], [v - 1, 0, 5], [4], [7, 7, 7, 7, 7]]
+        ids = [pool[i] for i in np.random.default_rng(23).integers(0, len(pool), size=400)]
+        got = mdl.encode_questions(toy_cfg, toy_store, ids)
+        assert sum(rows) == len(pool)
+        want = np.stack([mdl.encode_question(toy_cfg, toy_store, q) for q in ids])
+        assert np.abs(got - want).max() <= 1e-12
+
+        rows.clear()
+        tokens = np.asarray([q for q in ids if len(q) == 3][:256])
+        feats = np.random.default_rng(24).normal(size=(len(tokens), toy_cfg.feature_dim))
+        mdl.predict_classes(toy_cfg, toy_store, feats, tokens)
+        assert rows == [3]
 
 
 class TestRetrievalBoundaries:
@@ -449,12 +490,17 @@ class TestPredictDataset:
     """model.predict_dataset is the one batched prediction path: validation,
     `dppnet eval`, `--multiple-choice` and `predict` all go through it."""
 
-    def dataset(self, cfg, rng):
+    def dataset(self, cfg, rng, distinct=None):
         # 300 questions of length 3 (two batches of at most 256), mixed in
-        # with other lengths so input order and bucket order differ
+        # with other lengths so input order and bucket order differ; with
+        # `distinct`, each row asks one of that many questions per length
         lengths = [3] * 300 + [1] * 7 + [5] * 40 + [9] * 2
         lengths = [lengths[i] for i in rng.permutation(len(lengths))]
         ids = [rng.integers(0, cfg.vocab_size, size=n).tolist() for n in lengths]
+        if distinct is not None:
+            pool = {n: [ids[i] for i in range(len(ids)) if lengths[i] == n][:distinct]
+                    for n in set(lengths)}
+            ids = [pool[n][rng.integers(len(pool[n]))] for n in lengths]
         feats = rng.normal(size=(len(ids), cfg.feature_dim))
         targets = rng.integers(0, cfg.num_answers, size=len(ids))
         return trainer.EncodedDataset(features=feats, token_ids=ids, targets=targets)
@@ -468,6 +514,13 @@ class TestPredictDataset:
 
     def test_equals_row_by_row_in_input_order(self, toy_cfg, toy_store):
         data = self.dataset(toy_cfg, np.random.default_rng(40))
+        got = mdl.predict_dataset(toy_cfg, toy_store, data)
+        assert len(set(got.tolist())) > 1
+        assert np.array_equal(got, self.row_by_row(toy_cfg, toy_store, data))
+
+    def test_repeated_questions_equal_row_by_row(self, toy_cfg, toy_store):
+        data = self.dataset(toy_cfg, np.random.default_rng(44), distinct=3)
+        assert len({tuple(q) for q in data.token_ids}) <= 12
         got = mdl.predict_dataset(toy_cfg, toy_store, data)
         assert len(set(got.tolist())) > 1
         assert np.array_equal(got, self.row_by_row(toy_cfg, toy_store, data))

@@ -210,6 +210,30 @@ class TestTrainLoop:
         assert res.store["bn.running_var"].tobytes() == var.tobytes()
         assert not np.array_equal(steps[-2][0], mean)
 
+    def test_log_reports_the_pre_clip_gradient_norms(self, tiny_sets, monkeypatch):
+        train_ex, val_ex, _ = tiny_sets
+        norms, epoch_ends = [], []
+        real = trainer.clip_gradients
+
+        def spy(grads, threshold):
+            out = real(grads, threshold)
+            norms.append(out[1])
+            return out
+
+        monkeypatch.setattr(trainer, "clip_gradients", spy)
+        # a threshold inside the norms' range, so some steps clip and some do not
+        rc = small_run_config(max_epochs=3, seed=7, clip_threshold=2.0)
+        res = train(rc, train_ex, val_ex, progress=lambda entry: epoch_ends.append(len(norms)))
+        assert len(res.log) == 3
+        fractions = []
+        for entry, lo, hi in zip(res.log, [0] + epoch_ends, epoch_ends):
+            epoch = norms[lo:hi]
+            assert entry["grad_norm_mean"] == pytest.approx(sum(epoch) / len(epoch), rel=1e-12)
+            assert entry["grad_norm_max"] == max(epoch)
+            fractions.append(sum(n > 2.0 for n in epoch) / len(epoch))
+            assert entry["clipped_fraction"] == fractions[-1]
+        assert any(0 < f < 1 for f in fractions)
+
     def test_memorizes_sixteen_examples(self):
         gen = GenConfig(n_train=16, n_val=16, n_test=0)
         train_ex, val_ex, _ = generate_synthetic(gen, seed=6)
