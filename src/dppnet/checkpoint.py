@@ -3,7 +3,7 @@
 A checkpoint directory holds a JSON manifest listing name, shape, dtype and
 byte offset per tensor, and one binary blob of little-endian scalars in
 manifest order.  Round trips are bit-exact.  replacing swaps a whole
-checkpoint directory for a freshly written one.
+output directory (a checkpoint, a generated dataset) for a freshly written one.
 """
 
 from __future__ import annotations
@@ -71,11 +71,14 @@ def replacing(directory, names):
     if directory.is_dir():
         others = sorted(set(os.listdir(directory)) - set(names))
         if others:
-            raise FileExistsError(errno.EEXIST, "not a checkpoint file",
+            raise FileExistsError(errno.EEXIST, "not an output file",
                                   str(directory / others[0]))
     elif directory.exists():
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(directory))
-    directory.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:  # a file where a parent would go
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(directory)) from e
     new = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     new.mkdir()
     old = None

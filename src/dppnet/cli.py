@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hashing, metrics, model as mdl, oracles, trainer
+from . import checkpoint, hashing, metrics, model as mdl, oracles, trainer
 from .config import RunConfig, VARIANTS
 from .data import (
     GenConfig, QAExample, generate_synthetic, load_jsonl, save_jsonl, validate_features,
@@ -73,22 +74,20 @@ def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else 1
     splits = generate_synthetic(gen_cfg, seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name, split in zip(("train", "val", "test"), splits):
-        path = out / f"{name}.jsonl"
-        save_jsonl(path, split)
-        files[name] = str(path)
-    (out / "gen_config.json").write_text(
-        json.dumps({**dataclasses.asdict(gen_cfg), "seed": seed}, indent=1)
-    )
+    names = ("train", "val", "test")
+    with checkpoint.replacing(out, [f"{n}.jsonl" for n in names] + ["gen_config.json"]) as new:
+        for name, split in zip(names, splits):
+            save_jsonl(new / f"{name}.jsonl", split)
+        (new / "gen_config.json").write_text(
+            json.dumps({**dataclasses.asdict(gen_cfg), "seed": seed}, indent=1)
+        )
     _emit(
         {
             "out": str(out),
-            "files": files,
+            "files": {n: str(out / f"{n}.jsonl") for n in names},
             "seed": seed,
             "feature_dim": gen_cfg.feature_dim,
-            "counts": {n: len(s) for n, s in zip(("train", "val", "test"), splits)},
+            "counts": {n: len(s) for n, s in zip(names, splits)},
         }
     )
     return 0
@@ -307,7 +306,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--variant", choices=VARIANTS, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dppnet parser, built once per process; every caller shares it."""
     parser = argparse.ArgumentParser(
         prog="dppnet",
         description="Question-conditioned dynamic weight prediction, desk scale.",
@@ -371,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DppnetError as e:

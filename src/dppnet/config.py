@@ -126,9 +126,6 @@ class RunConfig:
         if self.pretrained_policy not in ("none", "optional", "required"):
             raise ConfigError("pretrained_policy must be none, optional or required")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
@@ -149,7 +146,7 @@ class RunConfig:
         return read_json(path, ConfigError, cls.from_dict)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))
+        Path(path).write_text(json.dumps(asdict(self), indent=1))
 
     def with_overrides(self, *, seed=None, precision=None, variant=None) -> "RunConfig":
         out = self

@@ -78,9 +78,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def encode(self, tokens: list[str]) -> list[int]:
         return [self._ids.get(t, UNK_ID) for t in tokens]
 
@@ -122,9 +119,6 @@ class AnswerSpace:
 
     def __len__(self) -> int:
         return len(self._answers)
-
-    def __contains__(self, answer: str) -> bool:
-        return answer in self._index
 
     def class_of(self, answer: str) -> int | None:
         """Class index, or None for answers outside the space (scored wrong)."""

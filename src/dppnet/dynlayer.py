@@ -10,9 +10,9 @@ O(BLOCK_BUDGET + batch * (in + out + candidates)) however large
 out_dim * in_dim grows.  The layer reads one signed-bucket code per
 position (hashing.SpecCodes, code = bucket + K * (sign < 0)): forward and
 the d_features half of backward gather signed weights straight from a
-per-tile table [p, p * -1.0] by code.  The d_candidates half decodes a row
-block's buckets and signs once, builds its bincount keys once, and runs one
-bincount per group of batch rows that fits the budget.  The codes of a spec
+per-tile SpecCodes.signed_table by code.  The d_candidates half decodes a
+row block's buckets and signs once, builds its bincount keys once, and runs
+one bincount per group of batch rows that fits the budget.  The codes of a spec
 are hashed once and kept while every cached spec fits hashing.CACHE_BYTES; a
 spec that does not fit is hashed row block by row block on every call.
 materialize_weights exists only as a test and diagnostic oracle.
@@ -50,13 +50,11 @@ def _blocks(codes: hashing.SpecCodes, p: np.ndarray):
     BLOCK_BUDGET, whatever the batch, or the whole grid when it fits; the
     d_candidates sums are formed once per block.  tiles yields the gather
     tiles nested in the block, (batch rows, signed table, output rows,
-    codes).  The signed table of a tile is [p, p * -1.0] per batch row, so
-    code c gathers the signed weight table[:, c], the same IEEE product as
-    p[bucket] * sign.  A grid that fits the budget is gathered whole, for as
-    many batch rows at a time as fit, each group under its own table.  A
-    larger grid is gathered for the whole batch under one table, as many
-    output rows at a time as fit and at least one, and its row blocks are a
-    multiple of that.
+    codes); code c gathers the signed weight table[:, c].  A grid that fits
+    the budget is gathered whole, for as many batch rows at a time as fit,
+    each group under its own table.  A larger grid is gathered for the whole
+    batch under one table, as many output rows at a time as fit and at least
+    one, and its row blocks are a multiple of that.
     """
     if not len(p):
         return
@@ -66,19 +64,15 @@ def _blocks(codes: hashing.SpecCodes, p: np.ndarray):
         width = hashing.BLOCK_BUDGET // grid
         (lo, hi, block), = codes.blocks(spec.out_dim)
         groups = (slice(b0, b0 + width) for b0 in range(0, len(p), width))
-        yield lo, hi, block, ((rows, _signed_table(p[rows]), slice(lo, hi), block)
+        yield lo, hi, block, ((rows, codes.signed_table(p[rows]), slice(lo, hi), block)
                               for rows in groups)
         return
     step = max(1, hashing.BLOCK_BUDGET // (len(p) * spec.in_dim))
     rows = max(step, hashing.BLOCK_BUDGET // spec.in_dim // step * step)
-    table = _signed_table(p)
+    table = codes.signed_table(p)
     for lo, hi, block in codes.blocks(rows):
         yield lo, hi, block, ((slice(None), table, slice(lo + r, min(lo + r + step, hi)),
                                block[r:r + step]) for r in range(0, hi - lo, step))
-
-
-def _signed_table(p: np.ndarray) -> np.ndarray:
-    return np.concatenate([p, p * -1.0], axis=1)
 
 
 def dyn_forward(features, candidates, bias: np.ndarray, spec: HashSpec) -> np.ndarray:

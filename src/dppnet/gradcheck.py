@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import ParamStore
 
-EPS = 1e-5  # grad_check's default step
+EPS = 1e-5  # grad_check's step
+FLOOR = 1e-3  # relative_error's denominator floor
 
 
 @dataclass
@@ -53,13 +54,13 @@ class GradCheckReport:
         }
 
 
-def relative_error(analytic: float, numeric: float, floor: float = 1e-3) -> float:
-    """|a - n| over max(|a|, |n|, floor).
+def relative_error(analytic: float, numeric: float) -> float:
+    """|a - n| over max(|a|, |n|, FLOOR).
 
     The floor turns the criterion into an absolute one for near-zero
     gradients, where finite differences carry irreducible rounding noise.
     """
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), FLOOR)
 
 
 def _spread(loss_fn, store: ParamStore, w: np.ndarray, idx, h: float) -> float:
@@ -78,9 +79,7 @@ def grad_check(
     store: ParamStore,
     grads: dict[str, np.ndarray],
     *,
-    eps: float = EPS,
     tolerance: float = 1e-5,
-    floor: float = 1e-3,
     names: list[str] | None = None,
 ) -> GradCheckReport:
     """Check grads, loss_fn's analytic gradients at store, against central differences.
@@ -111,22 +110,22 @@ def grad_check(
         worst = 0.0
         note = ""
         for idx in np.ndindex(w.shape):
-            diff = _spread(loss_fn, store, w, idx, eps)
+            diff = _spread(loss_fn, store, w, idx, EPS)
             if not math.isfinite(diff):
                 worst = math.inf
                 note = f"non-finite loss at {name}{list(idx)}"
                 break
-            err = relative_error(float(analytic[idx]), diff / (2.0 * eps), floor)
+            err = relative_error(float(analytic[idx]), diff / (2.0 * EPS))
             if err > tolerance:
                 # The central difference is off by O(eps^2) times the third
                 # derivative, which a strongly curved loss (batch norm over two
                 # rows) pushes past the tolerance.  The fourth-order
                 # (Richardson) difference cancels that term, so only a wrong
                 # analytic gradient still fails.
-                diff2 = _spread(loss_fn, store, w, idx, 2.0 * eps)
+                diff2 = _spread(loss_fn, store, w, idx, 2.0 * EPS)
                 if math.isfinite(diff2):
-                    numeric = (8.0 * diff - diff2) / (12.0 * eps)
-                    err = relative_error(float(analytic[idx]), numeric, floor)
+                    numeric = (8.0 * diff - diff2) / (12.0 * EPS)
+                    err = relative_error(float(analytic[idx]), numeric)
             if err > worst:
                 worst = err
         report.tensors.append(TensorCheck(name, worst, worst <= tolerance, note))

@@ -131,13 +131,6 @@ CACHE_BYTES = 1 << 21
 _grid_cache: dict[HashSpec, SpecCodes] = {}
 
 
-def _hash_codes(spec: HashSpec, lo: int, hi: int) -> np.ndarray:
-    """int64 codes bucket + K * (sign < 0) of rows lo..hi-1."""
-    codes = bucket_row(lo, spec, hi)
-    np.add(codes, spec.num_candidates, out=codes, where=sign_row(lo, spec, hi) < 0)
-    return codes
-
-
 @dataclass(frozen=True, eq=False)
 class SpecCodes:
     """One signed-bucket code per grid position: code = bucket + K * (sign < 0).
@@ -172,9 +165,16 @@ class SpecCodes:
         for lo in range(0, spec.out_dim, rows):
             hi = min(lo + rows, spec.out_dim)
             if self.grid is None:
-                yield lo, hi, _hash_codes(spec, lo, hi)
+                codes = bucket_row(lo, spec, hi)
+                codes[sign_row(lo, spec, hi) < 0] += spec.num_candidates
+                yield lo, hi, codes
             else:
                 yield lo, hi, self.grid[lo:hi]
+
+    def signed_table(self, p: np.ndarray) -> np.ndarray:
+        """Per row of the B x K candidates p, the 2K signed weights by code:
+        [p, p * -1.0], so table[:, code] is the IEEE product p[bucket] * sign."""
+        return np.concatenate([p, p * -1.0], axis=1)
 
 
 def spec_codes(spec: HashSpec) -> SpecCodes:

@@ -396,4 +396,12 @@ def load_model(directory):
             f"checkpoint inconsistent: config lists vocab {cfg.vocab_size}, "
             f"vocab file has {len(vocab)}"
         )
+    want = {name: value.shape for name, value in init_params(cfg, "f64", seed=0).items()}
+    for name in sorted(want.keys() | set(store.names())):
+        got = store[name].shape if name in store else None
+        if got != want.get(name):
+            raise CheckpointError(
+                f"checkpoint {directory}: tensor {name!r} has shape {got}, "
+                f"its config needs {want.get(name)}"
+            )
     return run_config, store, vocab, answers

@@ -104,29 +104,22 @@ def check_embed(rng) -> GradCheckReport:
     return grad_check(loss_fn, _store(table=table), grads)
 
 
-def _gru_params_from(s) -> enc.GruParams:
-    return enc.GruParams(
-        w_r=s["w_r"], w_z=s["w_z"], w_h=s["w_h"],
-        u_r=s["u_r"], u_z=s["u_z"], u_h=s["u_h"],
-    )
-
-
 def check_gru(rng, steps: int = 4) -> GradCheckReport:
     h, e, b = 5, 4, 3
     arrays = {
-        "w_r": rng.normal(size=(h, e)), "w_z": rng.normal(size=(h, e)),
-        "w_h": rng.normal(size=(h, e)), "u_r": rng.normal(size=(h, h)),
-        "u_z": rng.normal(size=(h, h)), "u_h": rng.normal(size=(h, h)),
+        "gru.w_r": rng.normal(size=(h, e)), "gru.w_z": rng.normal(size=(h, e)),
+        "gru.w_h": rng.normal(size=(h, e)), "gru.u_r": rng.normal(size=(h, h)),
+        "gru.u_z": rng.normal(size=(h, h)), "gru.u_h": rng.normal(size=(h, h)),
         "x": rng.normal(size=(b, steps, e)),
     }
     c = rng.normal(size=(b, h))
 
     def forward(s):
-        h_last, caches = enc.gru_encode(s["x"], _gru_params_from(s))
+        h_last, caches = enc.gru_encode(s["x"], enc.GruParams.from_store(s))
         return float((c * h_last).sum()), caches
 
-    dx, grads = enc.gru_encode_backward(forward(arrays)[1], _gru_params_from(arrays), c)
-    grads["x"] = dx
+    dx, grads = enc.gru_encode_backward(forward(arrays)[1], enc.GruParams.from_store(arrays), c)
+    grads = {"x": dx, **{f"gru.{k}": g for k, g in grads.items()}}
     return grad_check(lambda s: forward(s)[0], _store(**arrays), grads)
 
 

@@ -8,7 +8,7 @@ same seed produce bit-identical logs at 64-bit precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,11 +48,6 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-
-    @classmethod
-    def for_schedule(cls, schedule: TrainSchedule) -> "AdamState":
-        return cls(lr=schedule.lr, beta1=schedule.beta1, beta2=schedule.beta2,
-                   eps=schedule.adam_eps)
 
 
 def adam_step(store: ParamStore, grads: dict, state: AdamState) -> None:
@@ -227,20 +222,19 @@ def train(run_config: RunConfig, train_examples, val_examples,
     schedule = run_config.train
     precision = run_config.precision
 
-    pretrained = None
+    table = gru = vocab = None
     if cfg.variant != "rand-gru" and run_config.pretrained_policy != "none":
-        pretrained = load_pretrained(
+        table, gru, vocab = load_pretrained(
             run_config.pretrained_encoder, required=run_config.pretrained_policy == "required"
-        )
+        ) or (None, None, None)
 
-    if pretrained is not None and pretrained[2] is not None:
-        vocab = pretrained[2]
+    if vocab is not None:
         answers = AnswerSpace.from_examples(train_examples)
     else:
         vocab, answers = build_vocab(train_examples)
-        if pretrained is not None and pretrained[0].shape[0] != len(vocab):
+        if table is not None and table.shape[0] != len(vocab):
             raise CheckpointError(
-                f"pretrained encoder has {pretrained[0].shape[0]} embedding rows but no "
+                f"pretrained encoder has {table.shape[0]} embedding rows but no "
                 f"vocab.json, and the training vocabulary has {len(vocab)} entries; "
                 f"token ids cannot be aligned"
             )
@@ -252,8 +246,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
         num_answers=cfg.num_answers or len(answers),
         vocab_size=cfg.vocab_size or len(vocab),
     )
-    if pretrained is not None:
-        table, gru, _ = pretrained
+    if gru is not None:
         cfg = replace(
             cfg,
             embed_dim=table.shape[1],
@@ -264,14 +257,11 @@ def train(run_config: RunConfig, train_examples, val_examples,
     run_config = replace(run_config, model=cfg)
 
     store = mdl.init_params(cfg, precision, seed=schedule.seed)
-    if pretrained is not None:
-        table, gru, _ = pretrained
+    if gru is not None:
         store["embed.table"] = table
-        for name in ("w_r", "w_z", "w_h", "u_r", "u_z", "u_h"):
-            store[f"gru.{name}"] = getattr(gru, name)
-        if gru.has_bias:
-            for name in ("b_r", "b_z", "b_h"):
-                store[f"gru.{name}"] = getattr(gru, name)
+        for f in fields(gru):
+            if getattr(gru, f.name) is not None:
+                store[f"gru.{f.name}"] = getattr(gru, f.name)
 
     train_data = encode_dataset(train_examples, vocab, answers, precision)
     val_data = encode_dataset(val_examples, vocab, answers, precision)
@@ -280,7 +270,8 @@ def train(run_config: RunConfig, train_examples, val_examples,
 
     controller = ScheduleController(schedule, _adapter_policy(cfg.variant))
     store.freeze(mdl.ADAPTER_PREFIX)
-    adam = AdamState.for_schedule(schedule)
+    adam = AdamState(lr=schedule.lr, beta1=schedule.beta1, beta2=schedule.beta2,
+                     eps=schedule.adam_eps)
     rng = np.random.default_rng(schedule.seed)
 
     best_values = store.copy_values()

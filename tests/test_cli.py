@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import shutil
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dppnet.cli import main
 from dppnet.data import GenConfig, generate_synthetic, save_jsonl
@@ -76,6 +82,37 @@ class TestGen:
         )
         assert code == 0
         assert json.loads(out)["counts"] == {"train": 20, "val": 5, "test": 5}
+
+    def test_failed_write_leaves_the_earlier_output(self, capsys, tmp_path, monkeypatch):
+        import dppnet.cli
+
+        gc = tmp_path / "gen.json"
+        gc.write_text(json.dumps({"n_train": 20, "n_val": 5, "n_test": 5}))
+        out = tmp_path / "d"
+        argv = ["gen", "--out", str(out), "--gen-config", str(gc)]
+        assert run_cli(capsys, *argv, "--seed", "4")[0] == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        written = []
+
+        def second_split_fails(path, examples):
+            written.append(path)
+            if len(written) == 2:
+                raise OSError(28, "No space left on device", str(path))
+            save_jsonl(path, examples)
+
+        monkeypatch.setattr(dppnet.cli, "save_jsonl", second_split_fails)
+        code, stdout, err = run_cli(capsys, *argv, "--seed", "5")
+        assert (code, stdout) == (1, "")
+        assert "No space left" in json.loads(err)["error"]["message"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "gen.json"]
+
+    def test_refuses_a_directory_holding_other_files(self, capsys, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep")
+        code, out, err = run_cli(capsys, "gen", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert "notes.txt" in json.loads(err)["error"]["message"]
+        assert (tmp_path / "notes.txt").read_text() == "keep"
 
 
 class TestTrainCommand:
@@ -296,6 +333,24 @@ class TestErrorSurface:
         error = json.loads(err)["error"]
         assert "message" in error and "type" in error
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        import argparse
+
+        import dppnet.cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        dppnet.cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for _ in range(2):
+            assert run_cli(capsys, "hash-stats", "--m", "2", "--n", "3", "--k", "2")[0] == 0
+        assert built.count("dppnet") == 1
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--out", "x", "--frobnicate"])
@@ -492,6 +547,24 @@ class TestCheckpointManifestThroughCli:
         assert error["type"] == "CheckpointError"
         assert f"entry 0 ('adapter.w1') key {key!r}" in error["message"]
 
+    @pytest.mark.parametrize("file, old, new, named", [
+        ("manifest.json", '"adapter.w1"', '"adapter.x1"', "'adapter.w1'"),
+        ("config.json", '"dyn_out": 12', '"dyn_out": 13', "'bn.beta'"),
+    ], ids=["renamed tensor", "config disagrees"])
+    def test_tensors_must_match_the_config(self, capsys, tmp_path, tiny_data_dir,
+                                           tiny_checkpoint, file, old, new, named):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(tiny_checkpoint, ckpt)
+        text = (ckpt / file).read_text()
+        assert old in text
+        (ckpt / file).write_text(text.replace(old, new))
+        code, out, err = run_cli(capsys, "predict", "--checkpoint", str(ckpt),
+                                 "--data", str(tiny_data_dir / "test.jsonl"))
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "CheckpointError"
+        assert named in error["message"]
+
 
 class TestJsonFilesThroughCli:
     """Every JSON or JSONL file a subcommand reads fails with a typed error
@@ -607,3 +680,129 @@ class TestJsonFilesThroughCli:
         )
         assert error["type"] == "CheckpointError"
         assert str(ckpt / "vocab.json") in error["message"]
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    """Apply (op, position, byte) edits: replace, insert or delete one byte."""
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        at = min(pos, len(buf))
+        if op == "insert":
+            buf.insert(at, byte)
+        elif at < len(buf):
+            if op == "delete":
+                del buf[at]
+            else:
+                buf[at] = byte
+    return bytes(buf)
+
+
+class TestCliContract:
+    """Byte-mutated inputs at every boundary: each run exits 0, or exits 1
+    with nothing on stdout and one {"error": ...} line on stderr."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tiny_data_dir, tiny_checkpoint, toy_taxonomy_path):
+        lines = (tiny_data_dir / "test.jsonl").read_text().splitlines()[:6]
+        examples = [json.loads(line) for line in lines]
+        answers = sorted({ex["answers"][0] for ex in examples})
+        return {
+            "data": "".join(line + "\n" for line in lines).encode(),
+            "train --config": json.dumps({
+                "model": {"adapter_hidden": 8, "adapter_out": 8, "dyn_out": 4,
+                          "num_candidates": 8, "hidden_dim": 4, "embed_dim": 4},
+                "train": {"seed": 1, "batch_size": 16},
+                "precision": "f64",
+            }).encode(),
+            "gen --gen-config": json.dumps({"n_train": 20, "n_val": 5, "n_test": 5,
+                                            "noise": 0.05}).encode(),
+            "eval --predictions": "".join(
+                json.dumps({"id": i, "answer": ex["answers"][0]}) + "\n"
+                for i, ex in enumerate(examples)).encode(),
+            "eval --multiple-choice": "".join(
+                json.dumps({"id": i, "answers": answers}) + "\n"
+                for i in range(len(examples))).encode(),
+            "eval --taxonomy": toy_taxonomy_path.read_bytes(),
+            "predict --example": json.dumps({
+                "features": examples[0]["features"], "question": examples[0]["question"]
+            }).encode(),
+            "hash-stats --materialize-candidates": b"[0.5, -1.0, 2.0]",
+            **{f"checkpoint {name}": (tiny_checkpoint / name).read_bytes()
+               for name in ("manifest.json", "config.json", "vocab.json", "answers.json")},
+            "data dir": tiny_data_dir,
+            "checkpoint": tiny_checkpoint,
+        }
+
+    @staticmethod
+    def _argv(boundary, valid, work, mutated: bytes):
+        def put(name, content):
+            (work / name).write_bytes(content)
+            return str(work / name)
+
+        data = put("data.jsonl", valid["data"])
+        if boundary.startswith("checkpoint "):
+            ckpt = shutil.copytree(valid["checkpoint"], work / "ckpt")
+            put(f"ckpt/{boundary.split()[1]}", mutated)
+            return ["predict", "--checkpoint", str(ckpt), "--data", data]
+        ckpt = str(valid["checkpoint"])
+        preds = put("p.jsonl", valid["eval --predictions"])
+        file = put("mutated", mutated)
+        value = mutated.decode("utf-8", "surrogateescape")
+        return {
+            "train --config": ["train", "--config", file, "--data", str(valid["data dir"]),
+                               "--out", str(work / "run"), "--max-epochs", "1"],
+            "gen --gen-config": ["gen", "--gen-config", file, "--out", str(work / "gen")],
+            "eval --data": ["eval", "--checkpoint", ckpt, "--data", file],
+            "eval --predictions": ["eval", "--data", data, "--predictions", file],
+            "eval --multiple-choice": ["eval", "--checkpoint", ckpt, "--data", data,
+                                       "--multiple-choice", file],
+            "eval --taxonomy": ["eval", "--data", data, "--predictions", preds,
+                                "--taxonomy", file],
+            "retrieve --corpus": ["retrieve", "--checkpoint", ckpt, "--corpus", file,
+                                  "--query", "what color is the cube", "--top-k", "3"],
+            "predict --example": ["predict", "--checkpoint", ckpt, f"--example={value}"],
+            "hash-stats --materialize-candidates": [
+                "hash-stats", "--m", "3", "--n", "4", "--k", "3",
+                f"--materialize-candidates={value}"],
+        }[boundary]
+
+    BOUNDARIES = (
+        "train --config", "gen --gen-config", "eval --data", "eval --predictions",
+        "eval --multiple-choice", "eval --taxonomy", "retrieve --corpus",
+        "predict --example", "hash-stats --materialize-candidates",
+        "checkpoint manifest.json", "checkpoint config.json",
+        "checkpoint vocab.json", "checkpoint answers.json",
+    )
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_mutated_input_exits_cleanly(self, valid, boundary):
+        source = valid[{"eval --data": "data", "retrieve --corpus": "data"}.get(boundary, boundary)]
+        flag = boundary in ("predict --example", "hash-stats --materialize-candidates")
+        # bytes the input already holds keep most mutants parseable past the first check
+        byte = st.one_of(st.sampled_from(sorted(set(source))), st.integers(int(flag), 255))
+        edit = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                         st.integers(0, len(source)), byte)
+
+        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @given(st.lists(edit, min_size=1, max_size=3))
+        def run(edits):
+            mutated = _mutate(source, edits)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with tempfile.TemporaryDirectory() as work, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                argv = self._argv(boundary, valid, Path(work), mutated)
+                code = main(argv)
+            out, err = stdout.getvalue(), stderr.getvalue()
+            assert code in (0, 1), code
+            assert "Traceback" not in err
+            if code == 1 and not (boundary == "train --config" and out):
+                assert out == ""
+                lines = err.splitlines()
+                assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+            elif code == 1:  # train's documented abort: its result, marked aborted
+                assert json.loads(out)["aborted"] is True
+            else:
+                for doc in out.splitlines() if argv[0] == "predict" else [out]:
+                    json.loads(doc)
+
+        run()
