@@ -72,10 +72,11 @@ def cmd_gen(args) -> int:
     if args.gen_config:
         gen_cfg = read_json(args.gen_config, ConfigError, _gen_config)
     seed = args.seed if args.seed is not None else 1
-    splits = generate_synthetic(gen_cfg, seed)
     out = Path(args.out)
     names = ("train", "val", "test")
     with checkpoint.replacing(out, [f"{n}.jsonl" for n in names] + ["gen_config.json"]) as new:
+        # generated only once --out is accepted
+        splits = generate_synthetic(gen_cfg, seed)
         for name, split in zip(names, splits):
             save_jsonl(new / f"{name}.jsonl", split)
         (new / "gen_config.json").write_text(

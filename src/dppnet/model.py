@@ -10,6 +10,7 @@ to match the dynamic variant's parameter count.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,43 @@ def concat_hidden_dim(cfg: ModelConfig) -> int:
     return max(1, round(k * h / (n + h + m + 1)))
 
 
-def _uniform(rng, shape, fan_in, dtype):
-    a = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-a, a, size=shape).astype(dtype, copy=False)
+def _layout(cfg: ModelConfig):
+    """Every parameter of the configured variant, in draw order, as
+    (name, shape, init, store.add options).
+
+    init is either a fan-in, for a uniform draw in +-1/sqrt(fan_in), or the
+    float that fills the tensor without a draw.
+    """
+    f, a, n = cfg.feature_dim, cfg.adapter_hidden, cfg.adapter_out
+    h, e, m = cfg.hidden_dim, cfg.embed_dim, cfg.dyn_out
+    yield "adapter.w1", (a, f), f, {}
+    yield "adapter.b1", (a,), 0.0, {}
+    yield "adapter.w2", (n, a), a, {}
+    yield "adapter.b2", (n,), 0.0, {}
+    dyn_role = {"role": "static" if cfg.variant == "concat" else "dynamic-producing"}
+    yield "embed.table", (cfg.vocab_size, e), e, dyn_role
+    for name in ("w_r", "w_z", "w_h"):
+        yield f"gru.{name}", (h, e), e, dyn_role
+    for name in ("u_r", "u_z", "u_h"):
+        yield f"gru.{name}", (h, h), h, dyn_role
+    if cfg.gru_bias:
+        for name in ("b_r", "b_z", "b_h"):
+            yield f"gru.{name}", (h,), 0.0, dyn_role
+    if cfg.variant == "concat":
+        d = concat_hidden_dim(cfg)
+        yield "mix.w1", (d, n + h), n + h, {}
+        yield "mix.b1", (d,), 0.0, {}
+        yield "mix.w2", (m, d), d, {}
+        yield "mix.b2", (m,), 0.0, {}
+    else:
+        yield "proj.w", (cfg.num_candidates, h), h, {"role": "dynamic-producing"}
+        yield "dyn.b", (m,), 0.0, {}
+    yield "bn.gamma", (m,), 1.0, {}
+    yield "bn.beta", (m,), 0.0, {}
+    yield "bn.running_mean", (m,), 0.0, {"trainable": False}
+    yield "bn.running_var", (m,), 1.0, {"trainable": False}
+    yield "cls.w", (cfg.num_answers, m), m, {}
+    yield "cls.b", (cfg.num_answers,), 0.0, {}
 
 
 def init_params(cfg: ModelConfig, precision: str, seed: int) -> ParamStore:
@@ -61,37 +96,13 @@ def init_params(cfg: ModelConfig, precision: str, seed: int) -> ParamStore:
     cfg.require_resolved()
     rng = np.random.default_rng(seed)
     store = ParamStore(precision)
-    dt = np.float64  # draws at f64; store casts per its precision
-    f, a, n = cfg.feature_dim, cfg.adapter_hidden, cfg.adapter_out
-    h, e, m = cfg.hidden_dim, cfg.embed_dim, cfg.dyn_out
-    store.add("adapter.w1", _uniform(rng, (a, f), f, dt))
-    store.add("adapter.b1", np.zeros(a))
-    store.add("adapter.w2", _uniform(rng, (n, a), a, dt))
-    store.add("adapter.b2", np.zeros(n))
-    dyn_role = "static" if cfg.variant == "concat" else "dynamic-producing"
-    store.add("embed.table", _uniform(rng, (cfg.vocab_size, e), e, dt), role=dyn_role)
-    for name in ("w_r", "w_z", "w_h"):
-        store.add(f"gru.{name}", _uniform(rng, (h, e), e, dt), role=dyn_role)
-    for name in ("u_r", "u_z", "u_h"):
-        store.add(f"gru.{name}", _uniform(rng, (h, h), h, dt), role=dyn_role)
-    if cfg.gru_bias:
-        for name in ("b_r", "b_z", "b_h"):
-            store.add(f"gru.{name}", np.zeros(h), role=dyn_role)
-    if cfg.variant == "concat":
-        d = concat_hidden_dim(cfg)
-        store.add("mix.w1", _uniform(rng, (d, n + h), n + h, dt))
-        store.add("mix.b1", np.zeros(d))
-        store.add("mix.w2", _uniform(rng, (m, d), d, dt))
-        store.add("mix.b2", np.zeros(m))
-    else:
-        store.add("proj.w", _uniform(rng, (cfg.num_candidates, h), h, dt), role="dynamic-producing")
-        store.add("dyn.b", np.zeros(m))
-    store.add("bn.gamma", np.ones(m))
-    store.add("bn.beta", np.zeros(m))
-    store.add("bn.running_mean", np.zeros(m), trainable=False)
-    store.add("bn.running_var", np.ones(m), trainable=False)
-    store.add("cls.w", _uniform(rng, (cfg.num_answers, m), m, dt))
-    store.add("cls.b", np.zeros(cfg.num_answers))
+    for name, shape, init, options in _layout(cfg):
+        if isinstance(init, float):
+            value = np.full(shape, init)
+        else:  # drawn at f64; the store casts per its precision
+            bound = 1.0 / np.sqrt(init)
+            value = rng.uniform(-bound, bound, size=shape)
+        store.add(name, value, **options)
     return store
 
 
@@ -122,24 +133,49 @@ def _adapter_backward(store, features, h1, f_in, d_fin, grads):
     grads["adapter.b1"] = da1.sum(axis=0)
 
 
-def question_branch(store: ParamStore, tokens: np.ndarray):
-    """Embedding + GRU over a B x T token batch; returns (h_last, trace).
+def _distinct(sequences) -> tuple[list[tuple], list[int]]:
+    """The distinct sequences, as tuples in first-occurrence order, and each
+    input sequence's index among them."""
+    index: dict[tuple, int] = {}
+    inverse = [index.setdefault(tuple(seq), len(index)) for seq in sequences]
+    return list(index), inverse
 
-    It reads only the embed.* and gru.* tensors.
+
+def question_branch(store: ParamStore, tokens: np.ndarray):
+    """Embedding + GRU over a B x T token batch; returns (h_last, trace, shared).
+
+    The predicted weights depend on the question alone, so the encoder runs
+    once per distinct token row, in first-occurrence order, and h_last gives
+    each batch row its question's final state.  shared is (the distinct token
+    rows, each batch row's index among them) when some rows repeat, and None
+    when they are all distinct: then the encoder ran on the batch as given,
+    with no gather (a batch of one skips the check).  trace covers the rows
+    the encoder ran on.  It reads only the embed.* and gru.* tensors.
     """
+    shared = None
+    if len(tokens) > 1:
+        distinct, inverse = _distinct(tokens.tolist())
+        if len(distinct) < len(tokens):
+            tokens, inverse = np.asarray(distinct, dtype=np.int64), np.asarray(inverse)
+            shared = tokens, inverse
     x_seq = enc.embed(tokens, store["embed.table"])
-    return enc.gru_encode(x_seq, enc.GruParams.from_store(store))
+    h_last, trace = enc.gru_encode(x_seq, enc.GruParams.from_store(store))
+    if shared is not None:
+        h_last = h_last[inverse]
+    return h_last, trace, shared
 
 
 def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> dict:
     """Everything after the question encoder; returns the caches, logits included.
 
-    `encoding` is question_branch's (h_last, trace) for the same batch.  The
-    adapter, the candidate projection + dynamic layer (or the concat mixer),
-    batch norm and the classifier run here; the store is only read.
+    `encoding` is question_branch's (h_last, trace, shared) for the same batch.
+    The adapter, the candidate projection + dynamic layer (or the concat
+    mixer), batch norm and the classifier run here, one row per example; the
+    store is only read.
     """
-    h_last, trace = encoding
-    caches = {"features": features, "mode": mode, "gru": trace, "h_last": h_last}
+    h_last, trace, shared = encoding
+    caches = {"features": features, "mode": mode, "gru": trace, "h_last": h_last,
+              "shared": shared}
     f_in, h1 = _adapter_forward(store, features)
     caches["h1"], caches["f_in"] = h1, f_in
 
@@ -219,13 +255,18 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
             caches["h_last"], store["proj.w"], d_cand
         )
 
+    tokens = caches["tokens"]
+    if caches["shared"] is not None:
+        # rows asking one question share its encoding, so their gradients
+        # add up, in batch-row order, into that question's row
+        tokens, inverse = caches["shared"]
+        dh_rows, dh_last = dh_last, np.zeros((len(tokens), dh_last.shape[1]), dh_last.dtype)
+        np.add.at(dh_last, inverse, dh_rows)
     gru_params = enc.GruParams.from_store(store)
     dx_seq, gru_grads = enc.gru_encode_backward(caches["gru"], gru_params, dh_last)
     for k, v in gru_grads.items():
         grads[f"gru.{k}"] = v
-    grads["embed.table"] = enc.embed_backward(
-        caches["tokens"], dx_seq, store["embed.table"].shape[0]
-    )
+    grads["embed.table"] = enc.embed_backward(tokens, dx_seq, store["embed.table"].shape[0])
     _adapter_backward(store, caches["features"], caches["h1"], caches["f_in"], d_fin, grads)
     return grads
 
@@ -238,33 +279,18 @@ def loss_and_grads(cfg: ModelConfig, store: ParamStore, features, tokens, target
     return loss, caches, grads
 
 
-def _distinct(sequences) -> tuple[list[tuple], list[int]]:
-    """The distinct sequences, as tuples in first-occurrence order, and each
-    input sequence's index among them."""
-    index: dict[tuple, int] = {}
-    inverse = [index.setdefault(tuple(seq), len(index)) for seq in sequences]
-    return list(index), inverse
-
-
 def predict_classes(cfg: ModelConfig, store: ParamStore, features, tokens,
                     choice_mask=None) -> np.ndarray:
     """Most probable answer class per example, in eval mode; ties break to
     the lowest index.
 
-    The predicted weights depend on the question alone, so the encoder runs
-    once per distinct question of the batch and its rows are shared.
+    question_branch encodes each distinct question of the batch once.
     choice_mask, when given, restricts the argmax to a B x num_answers boolean
     candidate set (multiple-choice evaluation); a row with no allowed class
     yields -1.
     """
     features, tokens = _batch(cfg, store, features, tokens)
-    if len(tokens) > 1:
-        distinct, inverse = _distinct(tokens.tolist())
-        h_last, trace = question_branch(store, np.asarray(distinct, dtype=np.int64))
-        encoding = h_last[inverse], trace
-    else:
-        encoding = question_branch(store, tokens)
-    probs = softmax(head(cfg, store, features, encoding, "eval")["logits"])
+    probs = softmax(head(cfg, store, features, question_branch(store, tokens), "eval")["logits"])
     if choice_mask is None:
         return probs.argmax(axis=1)
     masked = np.where(choice_mask, probs, -np.inf)
@@ -289,8 +315,8 @@ def predict_dataset(cfg: ModelConfig, store: ParamStore, data, choice_mask=None)
 
 def count_trainable(cfg: ModelConfig) -> int:
     cfg.require_resolved()
-    store = init_params(cfg, "f64", seed=0)
-    return sum(store[n].size for n in store.names() if store.is_trainable(n))
+    return sum(math.prod(shape) for _, shape, _, options in _layout(cfg)
+               if options.get("trainable", True))
 
 
 def parameter_counts(cfg: ModelConfig) -> dict:
@@ -396,7 +422,8 @@ def load_model(directory):
             f"checkpoint inconsistent: config lists vocab {cfg.vocab_size}, "
             f"vocab file has {len(vocab)}"
         )
-    want = {name: value.shape for name, value in init_params(cfg, "f64", seed=0).items()}
+    cfg.require_resolved()
+    want = {name: shape for name, shape, _, _ in _layout(cfg)}
     for name in sorted(want.keys() | set(store.names())):
         got = store[name].shape if name in store else None
         if got != want.get(name):

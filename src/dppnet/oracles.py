@@ -202,7 +202,8 @@ def check_full_model(variant: str, rng, batch: int = 2) -> GradCheckReport:
     _, caches, grads = mdl.loss_and_grads(cfg, store, feats, tokens, targets, "train")
     encoder = [n for n in store.names() if n.split(".")[0] in mdl.ENCODER_PREFIXES]
     # the encoder bytes last encoded and their encoding, first the base point's
-    encoded = [_encoder_bytes(store, encoder), (caches["h_last"], caches["gru"])]
+    encoded = [_encoder_bytes(store, encoder),
+               (caches["h_last"], caches["gru"], caches["shared"])]
 
     def loss_fn(s):
         # the calls loss_and_grads makes, so the loss has the same bits; the

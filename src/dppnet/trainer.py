@@ -2,12 +2,14 @@
 adapter unfreezing, and permanent encoder freezing on overfit.
 
 Everything is seeded and reduction orders are fixed, so two runs with the
-same seed produce bit-identical logs at 64-bit precision.
+same seed produce bit-identical logs at 64-bit precision, apart from each
+epoch record's wall-clock "timing".
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -283,6 +285,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
 
     for epoch in range(1, schedule.max_epochs + 1):
         epochs_run = epoch
+        started = time.perf_counter()
         loss_sum = 0.0
         seen = 0
         correct = 0
@@ -311,6 +314,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
         train_loss = loss_sum / seen
         train_acc = correct / seen
         val_acc = evaluate(cfg, store, val_data)
+        epoch_s = time.perf_counter() - started
         log.append(
             {
                 "epoch": epoch,
@@ -323,6 +327,8 @@ def train(run_config: RunConfig, train_examples, val_examples,
                 "grad_norm_max": max(grad_norms),
                 "clipped_fraction": sum(n > schedule.clip_threshold for n in grad_norms)
                 / len(grad_norms),
+                # wall clock, the one field two identical runs do not share
+                "timing": {"epoch_s": epoch_s, "examples_per_s": seen / epoch_s},
             }
         )
         if progress is not None:

@@ -114,6 +114,16 @@ class TestGen:
         assert "notes.txt" in json.loads(err)["error"]["message"]
         assert (tmp_path / "notes.txt").read_text() == "keep"
 
+    def test_refused_out_generates_nothing(self, capsys, tmp_path, monkeypatch):
+        import dppnet.cli
+
+        calls = []
+        monkeypatch.setattr(dppnet.cli, "generate_synthetic", lambda *a: calls.append(a))
+        (tmp_path / "notes.txt").write_text("keep")
+        code, out, err = run_cli(capsys, "gen", "--out", str(tmp_path))
+        assert (code, out, calls) == (1, "", [])
+        assert "notes.txt" in json.loads(err)["error"]["message"]
+
 
 class TestTrainCommand:
     def test_checkpoint_layout_and_log(self, tiny_checkpoint):
@@ -123,7 +133,7 @@ class TestTrainCommand:
         entries = [json.loads(l) for l in (tiny_checkpoint / "log.jsonl").read_text().splitlines()]
         assert entries[0]["epoch"] == 1
         assert set(entries[0]) == {"epoch", "train_loss", "train_acc", "val_acc", "lr", "frozen",
-                                   "grad_norm_mean", "grad_norm_max", "clipped_fraction"}
+                                   "grad_norm_mean", "grad_norm_max", "clipped_fraction", "timing"}
 
     def test_saved_config_reruns_identically(self, capsys, tiny_data_dir,
                                              tiny_checkpoint, tmp_path):

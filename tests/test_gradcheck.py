@@ -125,6 +125,31 @@ def test_scaled_model_gradient_still_fails():
 
 
 @pytest.mark.parametrize("variant", ["dppnet", "concat"])
+def test_full_model_gradient_with_a_repeated_question(variant):
+    # rows 0 and 2 ask one question: the encoder runs on 3 rows and backward
+    # sums the two rows' h_last gradients before the GRU
+    from dataclasses import replace
+
+    from dppnet import model, oracles
+
+    cfg = replace(oracles.TOY, variant=variant)
+    store, feats, tokens, targets = oracles._full_model_instance(
+        cfg, np.random.default_rng(41), batch=4)
+    tokens[2] = tokens[0]
+    _, caches, grads = model.loss_and_grads(cfg, store, feats, tokens, targets, "train")
+    assert len(caches["shared"][0]) == 3
+    relu_inputs = oracles._relu_inputs(cfg, store, caches)
+    assert all(np.abs(x).min() > oracles.KINK_MARGIN for x in relu_inputs)
+
+    def loss_fn(s):
+        _, caches = model.forward(cfg, s, feats, tokens, "train")
+        return softmax_xent(caches["logits"], targets)[0]
+
+    report = grad_check(loss_fn, store, grads)
+    assert report.passed, [t.name for t in report.tensors if not t.passed]
+
+
+@pytest.mark.parametrize("variant", ["dppnet", "concat"])
 def test_full_model_oracle_runs_backward_once(monkeypatch, variant):
     from dppnet import model, oracles
 

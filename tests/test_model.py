@@ -175,6 +175,14 @@ class TestParameterAccounting:
         counts = mdl.parameter_counts(toy_cfg)
         assert 0.95 <= counts["ratio"] <= 1.05
 
+    @pytest.mark.parametrize("variant", ["dppnet", "concat"])
+    @pytest.mark.parametrize("gru_bias", [False, True])
+    def test_count_is_the_initialized_stores(self, variant, gru_bias):
+        cfg = toy_model_config(variant=variant, gru_bias=gru_bias)
+        store = mdl.init_params(cfg, "f64", seed=0)
+        assert mdl.count_trainable(cfg) == sum(
+            store[n].size for n in store.names() if store.is_trainable(n))
+
     def test_no_dynamic_weight_tensor_is_ever_stored(self, toy_cfg, toy_store):
         grid = toy_cfg.dyn_out * toy_cfg.adapter_out
         for name in toy_store.names():
@@ -232,6 +240,17 @@ class TestCheckpointRoundTrip:
         RunConfig(model=bad).save(tmp_path / "config.json")
         with pytest.raises(CheckpointError, match="answers"):
             mdl.load_model(tmp_path)
+
+    def test_load_checks_shapes_without_drawing(self, tmp_path, toy_cfg, monkeypatch):
+        saved = self._checkpoint(toy_cfg, "f64", 22)
+        mdl.save_model(tmp_path, *saved)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        _, store, _, _ = mdl.load_model(tmp_path)
+        assert all(same_bits(store[n], saved[1][n]) for n in saved[1].names())
 
     def test_missing_piece_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -559,3 +578,88 @@ class TestPredictDataset:
         want = correct / len(data.targets)
         assert 0.5 <= want < 1.0
         assert trainer.evaluate(toy_cfg, toy_store, data) == want
+
+
+def all_rows_reference(cfg, store, feats, tokens, targets):
+    """loss_and_grads with the encoder run forward and backward on every row:
+    enc.embed and enc.gru_encode here, and enc.gru_encode_backward inside
+    backward, since no row is marked shared."""
+    from dppnet import encoder as enc
+    from dppnet.tensor import softmax_xent
+
+    x_seq = enc.embed(tokens, store["embed.table"])
+    h_last, trace = enc.gru_encode(x_seq, enc.GruParams.from_store(store))
+    caches = mdl.head(cfg, store, feats, (h_last, trace, None), "train")
+    caches["tokens"] = tokens
+    loss, dlogits = softmax_xent(caches["logits"], targets)
+    return loss, caches, mdl.backward(cfg, store, caches, dlogits)
+
+
+class TestSharedQuestions:
+    @staticmethod
+    def batch(cfg, questions, seed):
+        # one row per entry of questions, an index into a pool of distinct questions
+        rng = np.random.default_rng(seed)
+        pool = [rng.permutation(cfg.vocab_size)[:4] for _ in range(max(questions) + 1)]
+        tokens = np.stack([pool[q] for q in questions])
+        feats = rng.normal(size=(len(questions), cfg.feature_dim))
+        targets = rng.integers(0, cfg.num_answers, size=len(questions))
+        return feats, tokens, targets
+
+    @pytest.mark.parametrize("variant", ["dppnet", "concat"])
+    def test_repeats_match_the_all_rows_reference(self, variant, monkeypatch):
+        from dppnet import encoder as enc
+
+        cfg = toy_model_config(variant=variant)
+        store = mdl.init_params(cfg, "f64", seed=31)
+        feats, tokens, targets = self.batch(cfg, [0, 1, 0, 2, 1, 0], seed=32)
+        loss, caches, grads = mdl.loss_and_grads(cfg, store, feats, tokens, targets)
+        assert len(caches["shared"][0]) == 3
+
+        rows = []
+        real = enc.gru_encode_backward
+        monkeypatch.setattr(enc, "gru_encode_backward",
+                            lambda trace, p, dh: rows.append(len(dh)) or real(trace, p, dh))
+        want_loss, want_caches, want = all_rows_reference(cfg, store, feats, tokens, targets)
+        assert rows == [6]
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.abs(caches["logits"] - want_caches["logits"]).max() <= 1e-12
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    def test_a_training_step_encodes_only_the_distinct_rows(self, toy_cfg, toy_store,
+                                                           monkeypatch):
+        from dppnet import encoder as enc
+
+        rows = []
+        forward, backward, scatter = enc.gru_encode, enc.gru_encode_backward, enc.embed_backward
+        monkeypatch.setattr(enc, "gru_encode", lambda x, p: rows.append(
+            ("gru_encode", len(x))) or forward(x, p))
+        monkeypatch.setattr(enc, "gru_encode_backward", lambda trace, p, dh: rows.append(
+            ("gru_encode_backward", trace.h_bar.shape[1], len(dh))) or backward(trace, p, dh))
+        monkeypatch.setattr(enc, "embed_backward", lambda tokens, d, v: rows.append(
+            ("embed_backward", len(tokens), len(d))) or scatter(tokens, d, v))
+        feats, tokens, targets = self.batch(toy_cfg, [2, 0, 0, 1, 2, 2, 0, 1], seed=33)
+        mdl.loss_and_grads(toy_cfg, toy_store, feats, tokens, targets)
+        assert rows == [("gru_encode", 3), ("gru_encode_backward", 3, 3),
+                        ("embed_backward", 3, 3)]
+
+    @pytest.mark.parametrize("variant", ["dppnet", "concat"])
+    def test_distinct_rows_keep_the_all_rows_bits(self, variant):
+        cfg = toy_model_config(variant=variant)
+        store = mdl.init_params(cfg, "f64", seed=34)
+        feats, tokens, targets = self.batch(cfg, [0, 1, 2, 3], seed=35)
+        got = mdl.loss_and_grads(cfg, store, feats, tokens, targets)
+        want = all_rows_reference(cfg, store, feats, tokens, targets)
+        assert got[2]["embed.table"].any()
+        assert same_bits(got[0], want[0]) and same_bits(got[2], want[2])
+        for key, value in want[1].items():
+            assert same_bits(got[1][key], value), key
+
+    def test_a_single_row_skips_the_bookkeeping(self, toy_cfg, toy_store, monkeypatch):
+        feats, tokens, _ = self.batch(toy_cfg, [0], seed=36)
+        monkeypatch.setattr(mdl, "_distinct", None)
+        _, caches = mdl.forward(toy_cfg, toy_store, feats, tokens)
+        assert caches["shared"] is None
+        assert mdl.predict_classes(toy_cfg, toy_store, feats, tokens).shape == (1,)

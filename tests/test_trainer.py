@@ -168,6 +168,17 @@ class TestTrainLoop:
         assert r1.epoch_losses == r2.epoch_losses
         assert [e["val_acc"] for e in r1.log] == [e["val_acc"] for e in r2.log]
 
+    def test_logs_differ_only_in_timing(self, tiny_sets):
+        train_ex, val_ex, _ = tiny_sets
+        rc = small_run_config(max_epochs=2, seed=12)
+        r1 = train(rc, train_ex, val_ex)
+        r2 = train(rc, train_ex, val_ex)
+        timings = [e.pop("timing") for e in r1.log + r2.log]
+        assert r1.log == r2.log
+        for timing in timings:
+            assert set(timing) == {"epoch_s", "examples_per_s"}
+            assert timing["epoch_s"] > 0 and timing["examples_per_s"] > 0
+
     def test_different_seeds_differ(self, tiny_sets):
         train_ex, val_ex, _ = tiny_sets
         r1 = train(small_run_config(max_epochs=3, seed=1), train_ex, val_ex)
