@@ -7,6 +7,7 @@ so any run can be re-executed exactly from its artifacts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -37,6 +38,20 @@ def _check_types(config) -> None:
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
 
+def _check_ranges(config, ranges: dict) -> None:
+    """Every field named in ranges passes its (test, wording) pair; NaN fails
+    every test."""
+    for name, (ok, wording) in ranges.items():
+        value = getattr(config, name)
+        if not ok(value):
+            raise ConfigError(f"{name} must be {wording}, got {value!r}")
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+_FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
+
+
 @dataclass
 class ModelConfig:
     variant: str = "dppnet"
@@ -60,10 +75,12 @@ class ModelConfig:
         _check_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        for name in ("adapter_hidden", "adapter_out", "dyn_out", "num_candidates",
-                     "hidden_dim", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        _check_ranges(self, {
+            **dict.fromkeys(("adapter_hidden", "adapter_out", "dyn_out", "num_candidates",
+                             "hidden_dim", "embed_dim"), _AT_LEAST_1),
+            "bn_momentum": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+            "bn_eps": _POSITIVE,
+        })
 
     def hash_spec(self) -> HashSpec:
         return HashSpec(
@@ -103,12 +120,19 @@ class TrainSchedule:
 
     def __post_init__(self):
         _check_types(self)
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.clip_threshold <= 0:
-            raise ConfigError("clip threshold must be > 0")
-        if self.batch_size < 2:
-            raise ConfigError("batch size must be >= 2 (batch norm needs 2 rows)")
+        _check_ranges(self, {
+            "seed": (lambda v: v >= 0, ">= 0"),
+            "max_epochs": _AT_LEAST_1,
+            "patience": _AT_LEAST_1,
+            "lr": _POSITIVE,
+            "beta1": _FRACTION,
+            "beta2": _FRACTION,
+            "adam_eps": _POSITIVE,
+            "clip_threshold": (lambda v: v > 0, "> 0"),
+            "batch_size": (lambda v: v >= 2, ">= 2 (batch norm needs 2 rows)"),
+            "unfreeze_patience": (lambda v: v >= 0, ">= 0"),
+            "overfit_epochs": _AT_LEAST_1,
+        })
 
 
 @dataclass

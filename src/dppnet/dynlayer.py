@@ -2,10 +2,12 @@
 
 Forward maps input features through a weight matrix that is never stored:
 entry (m, n) is candidates[bucket(m, n)] * sign(m, n), where the candidate
-vector comes from the question encoder.  Both passes walk the grid in row
-blocks of at most hashing.BLOCK_BUDGET positions (at least one output row),
-whatever the batch, and gather weights in tiles nested in them of at most
-BLOCK_BUDGET batch x row x in_dim entries, so transient memory stays
+vector comes from the question encoder.  Both passes take batches only:
+B x in_dim features, B x K candidates and B x out_dim output gradients, any
+other rank a ShapeError.  They walk the grid in row blocks of at most
+hashing.BLOCK_BUDGET positions (at least one output row), whatever the
+batch, and gather weights in tiles nested in them of at most BLOCK_BUDGET
+batch x row x in_dim entries, so transient memory stays
 O(BLOCK_BUDGET + batch * (in + out + candidates)) however large
 out_dim * in_dim grows.  The layer reads one signed-bucket code per
 position (hashing.SpecCodes, code = bucket + K * (sign < 0)): forward and
@@ -29,18 +31,13 @@ from .hashing import HashSpec
 MATERIALIZE_LIMIT = 1 << 20
 
 
-def _as_batch(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, width: int, what: str) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[None, :]
-        single = True
-    elif x.ndim == 2:
-        single = False
-    else:
-        raise ShapeError(f"{what} must be a vector or batch, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"{what} must be a B x {width} batch, got shape {x.shape}")
     if x.shape[1] != width:
         raise ShapeError(f"{what} width {x.shape[1]} does not match layer width {width}")
-    return x, single
+    return x
 
 
 def _blocks(codes: hashing.SpecCodes, p: np.ndarray):
@@ -77,8 +74,8 @@ def _blocks(codes: hashing.SpecCodes, p: np.ndarray):
 
 def dyn_forward(features, candidates, bias: np.ndarray, spec: HashSpec) -> np.ndarray:
     """Apply the question-conditioned affine map: hashed weights, static bias."""
-    x, single_x = _as_batch(features, spec.in_dim, "input features")
-    p, single_p = _as_batch(candidates, spec.num_candidates, "candidate vector")
+    x = _as_batch(features, spec.in_dim, "input features")
+    p = _as_batch(candidates, spec.num_candidates, "candidates")
     if x.shape[0] != p.shape[0]:
         raise ShapeError(
             f"batch mismatch: {x.shape[0]} feature rows vs {p.shape[0]} candidate rows"
@@ -90,7 +87,7 @@ def dyn_forward(features, candidates, bias: np.ndarray, spec: HashSpec) -> np.nd
         for rows, table, cols, tile in tiles:
             out[rows, cols] = np.einsum("bmn,bn->bm", table.take(tile, axis=1), x[rows])
     out += bias
-    return out[0] if (single_x and single_p) else out
+    return out
 
 
 def dyn_backward(features, candidates, d_out, spec: HashSpec):
@@ -102,9 +99,9 @@ def dyn_backward(features, candidates, d_out, spec: HashSpec):
     from earlier blocks, so d_candidates equals sequential accumulation over
     the whole grid bit for bit.
     """
-    x, single_x = _as_batch(features, spec.in_dim, "input features")
-    p, single_p = _as_batch(candidates, spec.num_candidates, "candidate vector")
-    d, single_d = _as_batch(d_out, spec.out_dim, "output gradient")
+    x = _as_batch(features, spec.in_dim, "input features")
+    p = _as_batch(candidates, spec.num_candidates, "candidates")
+    d = _as_batch(d_out, spec.out_dim, "output gradient")
     b = x.shape[0]
     if p.shape[0] != b or d.shape[0] != b:
         raise ShapeError(
@@ -145,10 +142,7 @@ def dyn_backward(features, candidates, d_out, spec: HashSpec):
             ).reshape(n, k)
         del signs  # before the next block's weights are gathered
     dp = dp.astype(p.dtype, copy=False)
-    db = d.sum(axis=0)
-    if single_x and single_p and single_d:
-        return dx[0], dp[0], db
-    return dx, dp, db
+    return dx, dp, d.sum(axis=0)
 
 
 def materialize_weights(candidates: np.ndarray, spec: HashSpec) -> np.ndarray:
@@ -164,7 +158,6 @@ def materialize_weights(candidates: np.ndarray, spec: HashSpec) -> np.ndarray:
     p = np.asarray(candidates)
     if p.shape != (spec.num_candidates,):
         raise ShapeError(f"candidate shape {p.shape} != ({spec.num_candidates},)")
-    w = np.empty((spec.out_dim, spec.in_dim), dtype=p.dtype)
-    for lo, hi, buckets, signs in hashing.row_blocks(spec):
-        w[lo:hi] = p[buckets] * signs
-    return w
+    codes = hashing.spec_codes(spec)
+    table = codes.signed_table(p[None])[0]
+    return np.concatenate([table[block] for _, _, block in codes.blocks()])

@@ -105,8 +105,6 @@ class GruTrace:
 def embed(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Look up embedding rows for a batch of equal-length token id sequences."""
     tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
     if tokens.ndim != 2 or tokens.shape[1] < 1:
         raise ShapeError(f"token batch must be B x T with T >= 1, got {tokens.shape}")
     if tokens.min() < 0 or tokens.max() >= table.shape[0]:

@@ -42,17 +42,6 @@ class GradCheckReport:
     def max_rel_err(self) -> float:
         return max((t.max_rel_err for t in self.tensors), default=0.0)
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "max_rel_err": self.max_rel_err,
-            "tensors": [
-                {"name": t.name, "max_rel_err": t.max_rel_err, "passed": t.passed, "note": t.note}
-                for t in self.tensors
-            ],
-        }
-
 
 def relative_error(analytic: float, numeric: float) -> float:
     """|a - n| over max(|a|, |n|, FLOOR).

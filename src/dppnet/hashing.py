@@ -202,28 +202,16 @@ def spec_codes(spec: HashSpec) -> SpecCodes:
     return codes
 
 
-def row_blocks(spec: HashSpec):
-    """Yield (lo, hi, buckets, signs) over the default blocks of SpecCodes.blocks.
-
-    The decoded, read-only view of the codes: buckets is an int64 and signs
-    an int8 (hi - lo, in_dim) array.
-    """
-    codes = spec_codes(spec)
-    for lo, hi, block in codes.blocks():
-        buckets, signs = codes.buckets[block], codes.signs[block].astype(np.int8)
-        buckets.setflags(write=False)
-        signs.setflags(write=False)
-        yield lo, hi, buckets, signs
-
-
 def bucket_grid(spec: HashSpec) -> np.ndarray:
     """Full out_dim x in_dim grid of candidate indices, a fresh copy (diagnostics/oracles)."""
-    return np.concatenate([buckets for _, _, buckets, _ in row_blocks(spec)])
+    codes = spec_codes(spec)
+    return np.concatenate([codes.buckets[block] for _, _, block in codes.blocks()])
 
 
 def sign_grid(spec: HashSpec) -> np.ndarray:
     """Full out_dim x in_dim grid of int8 signs, a fresh copy (diagnostics/oracles)."""
-    return np.concatenate([signs for _, _, _, signs in row_blocks(spec)])
+    codes = spec_codes(spec)
+    return np.concatenate([codes.signs[block].astype(np.int8) for _, _, block in codes.blocks()])
 
 
 def hash_stats(spec: HashSpec) -> dict:
@@ -232,11 +220,12 @@ def hash_stats(spec: HashSpec) -> dict:
     Returns the exact bucket histogram, a chi-square statistic against the
     uniform expectation grid_size / num_candidates, and the mean sign.
     """
-    loads = np.zeros(spec.num_candidates, dtype=np.int64)
-    sign_sum = 0
-    for _, _, buckets, signs in row_blocks(spec):
-        loads += np.bincount(buckets.ravel(), minlength=spec.num_candidates)
-        sign_sum += int(signs.sum(dtype=np.int64))
+    k = spec.num_candidates
+    counts = np.zeros(2 * k, dtype=np.int64)  # per code: positive signs, then negative
+    for _, _, block in spec_codes(spec).blocks():
+        counts += np.bincount(block.ravel(), minlength=2 * k)
+    loads = counts[:k] + counts[k:]
+    sign_sum = int(counts[:k].sum() - counts[k:].sum())
     grid_size = spec.out_dim * spec.in_dim
     expected = grid_size / spec.num_candidates
     chi_square = float(((loads - expected) ** 2 / expected).sum())

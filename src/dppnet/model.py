@@ -260,8 +260,7 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
         # rows asking one question share its encoding, so their gradients
         # add up, in batch-row order, into that question's row
         tokens, inverse = caches["shared"]
-        dh_rows, dh_last = dh_last, np.zeros((len(tokens), dh_last.shape[1]), dh_last.dtype)
-        np.add.at(dh_last, inverse, dh_rows)
+        dh_last = enc.embed_backward(inverse, dh_last, len(tokens))
     gru_params = enc.GruParams.from_store(store)
     dx_seq, gru_grads = enc.gru_encode_backward(caches["gru"], gru_params, dh_last)
     for k, v in gru_grads.items():

@@ -3,7 +3,8 @@ adapter unfreezing, and permanent encoder freezing on overfit.
 
 Everything is seeded and reduction orders are fixed, so two runs with the
 same seed produce bit-identical logs at 64-bit precision, apart from each
-epoch record's wall-clock "timing".
+epoch record's wall-clock "timing", as long as both run at the same OpenBLAS
+thread count: BLAS may order its sums differently at another count.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import pytest
 
 from dppnet.cli import main
 from dppnet.config import ModelConfig, RunConfig, TrainSchedule
+from dppnet.data import GenConfig, generate_synthetic, save_jsonl
 from dppnet.errors import ConfigError
 
 
@@ -34,6 +35,56 @@ def test_train_config_field_type_named(capsys, tmp_path, section, field, value):
     error = json.loads(captured.err)["error"]
     assert error["type"] == "ConfigError"
     assert field in error["message"]
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (TrainSchedule, "seed", -1),
+        (TrainSchedule, "lr", -0.01),
+        (TrainSchedule, "lr", 0.0),
+        (TrainSchedule, "lr", float("nan")),
+        (TrainSchedule, "lr", float("inf")),
+        (TrainSchedule, "max_epochs", 0),
+        (TrainSchedule, "beta1", 1.0),
+        (TrainSchedule, "beta1", -0.1),
+        (TrainSchedule, "beta2", 1.0),
+        (TrainSchedule, "beta2", float("nan")),
+        (TrainSchedule, "adam_eps", 0.0),
+        (TrainSchedule, "adam_eps", -1e-8),
+        (TrainSchedule, "unfreeze_patience", -1),
+        (TrainSchedule, "overfit_epochs", 0),
+        (ModelConfig, "bn_eps", 0.0),
+        (ModelConfig, "bn_eps", -1e-5),
+        (ModelConfig, "bn_momentum", 1.5),
+        (ModelConfig, "bn_momentum", -0.1),
+    ],
+)
+def test_values_that_would_train_wrong_are_refused(cls, field, value):
+    with pytest.raises(ConfigError, match=field):
+        cls(**{field: value})
+
+
+def test_range_edges_stay_valid():
+    TrainSchedule(beta1=0.0, beta2=0.0, unfreeze_patience=0, overfit_epochs=1, max_epochs=1)
+    ModelConfig(bn_momentum=1.0)
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "-0.01"), ("--max-epochs", "0"), ("--seed", "-1")])
+def test_train_flag_out_of_range_writes_nothing(capsys, tmp_path, flag, value):
+    splits = generate_synthetic(GenConfig(n_train=40, n_val=10, n_test=10), seed=2)
+    for name, split in zip(("train", "val", "test"), splits):
+        save_jsonl(tmp_path / f"{name}.jsonl", split)
+    out = tmp_path / "out"
+    code = main(["train", "--data", str(tmp_path), "--out", str(out), flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError"
+    assert flag[2:].replace("-", "_") in error["message"]
+    assert not out.exists()
 
 
 def test_pretrained_encoder_path_must_be_text():

@@ -58,8 +58,21 @@ def test_zero_candidates_give_bias():
 def test_single_entry_expansion():
     spec = HashSpec(out_dim=1, in_dim=1, num_candidates=1)
     sign = hashing.sign(0, 0, spec)
-    out = dyn_forward(np.array([2.0]), np.array([3.0]), np.array([0.25]), spec)
-    assert out[0] == pytest.approx(sign * 3.0 * 2.0 + 0.25, abs=0)
+    out = dyn_forward(np.array([[2.0]]), np.array([[3.0]]), np.array([0.25]), spec)
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(sign * 3.0 * 2.0 + 0.25, abs=0)
+
+
+def test_only_batches_are_taken():
+    # a lone vector is refused, not treated as a batch of one
+    spec = HashSpec(out_dim=2, in_dim=3, num_candidates=4)
+    x, p, d = np.ones((1, 3)), np.ones((1, 4)), np.ones((1, 2))
+    for args in ((x[0], p), (x, p[0]), (x[0], p[0]), (x[None], p)):
+        with pytest.raises(ShapeError, match="batch"):
+            dyn_forward(*args, np.zeros(2), spec)
+    for args in ((x[0], p, d), (x, p[0], d), (x, p, d[0]), (x[0], p[0], d[0])):
+        with pytest.raises(ShapeError, match="batch"):
+            dyn_backward(*args, spec)
 
 
 def test_forward_matches_materialized_oracle():

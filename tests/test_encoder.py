@@ -64,6 +64,13 @@ class TestEmbed:
         assert np.array_equal(enc.embed_backward(np.array([2, 0, 2]), d, 3), expected)
         assert np.array_equal(expected, [[2.0, 3.0], [0.0, 0.0], [4.0, 6.0]])
 
+    def test_only_a_batch_of_sequences_is_looked_up(self):
+        table = np.arange(10.0).reshape(5, 2)
+        assert enc.embed(np.array([[1, 2]]), table).shape == (1, 2, 2)
+        for tokens in (np.array([1, 2]), np.array(1), np.zeros((1, 2, 1), dtype=np.int64)):
+            with pytest.raises(ShapeError):
+                enc.embed(tokens, table)
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ShapeError):
             enc.embed(np.array([[5]]), np.zeros((5, 2)))

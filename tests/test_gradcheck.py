@@ -64,14 +64,6 @@ def test_relative_error_floor_behaves_absolutely_near_zero():
     assert relative_error(1.0, 1.1) == pytest.approx(0.1 / 1.1)
 
 
-def test_report_dict_shape():
-    store = ParamStore()
-    store.add("w", np.ones(3))
-    d = grad_check(quadratic, store, {"w": store["w"].copy()}).as_dict()
-    assert set(d) == {"passed", "tolerance", "max_rel_err", "tensors"}
-    assert d["tensors"][0]["name"] == "w"
-
-
 def steep(store, k=1000.0):
     # the central difference at eps = 1e-5 is off by (k * eps)^2 / 6 ~ 1.7e-5
     return float(np.exp(k * store["w"]).sum())

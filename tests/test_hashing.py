@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 
 from dppnet import hashing
+from dppnet.dynlayer import materialize_weights
 from dppnet.errors import ConfigError
 from dppnet.hashing import HashSpec
 
@@ -139,11 +140,13 @@ def test_cached_grids_cannot_be_mutated():
     assert np.array_equal(hashing.bucket_grid(spec), buckets)
     assert np.array_equal(hashing.sign_grid(spec), signs)
     assert spec in hashing._grid_cache
-    for _, _, block_b, block_s in hashing.row_blocks(spec):
+    codes = hashing.spec_codes(spec)
+    for _, _, block in codes.blocks():
         with pytest.raises(ValueError):
-            block_b[0, 0] = 0
+            block[0, 0] = 0
+    for table in (codes.buckets, codes.signs):
         with pytest.raises(ValueError):
-            block_s[0, 0] = 1
+            table[0] = 0
 
 
 @pytest.mark.parametrize("budget", [1, 7, hashing.BLOCK_BUDGET])
@@ -158,7 +161,7 @@ def test_block_paths_match_row_by_row_hashing(budget, monkeypatch):
     rows_s = np.stack([hashing.sign_row(m, spec) for m in range(9)])
     assert np.array_equal(hashing.bucket_grid(spec), rows_b)
     assert np.array_equal(hashing.sign_grid(spec), rows_s)
-    bounds = [(lo, hi) for lo, hi, _, _ in hashing.row_blocks(spec)]
+    bounds = [(lo, hi) for lo, hi, _ in hashing.spec_codes(spec).blocks()]
     assert bounds[0][0] == 0 and bounds[-1][1] == 9
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     assert all(hi - lo <= max(1, budget // 4) for lo, hi in bounds)
@@ -204,3 +207,38 @@ def test_cached_grid_is_hashed_in_block_budget_chunks(monkeypatch):
     monkeypatch.setattr(hashing, "_grid_cache", {})
     monkeypatch.setattr(hashing, "CACHE_BYTES", 0)
     assert [(lo, hi) for lo, hi, _ in hashing.spec_codes(spec).blocks()] == calls[:4]
+
+
+@pytest.mark.parametrize("k, dtype", [(5, np.uint8), (200, np.uint16)])
+@pytest.mark.parametrize("streamed", [False, True])
+def test_grid_readers_match_the_scalar_hashes(k, dtype, streamed, monkeypatch):
+    # every reader of the code grid, cached or streamed in several blocks,
+    # agrees with hashing.bucket / hashing.sign position by position
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    if streamed:
+        monkeypatch.setattr(hashing, "CACHE_BYTES", 0)
+        monkeypatch.setattr(hashing, "BLOCK_BUDGET", 40)
+    spec = HashSpec(out_dim=9, in_dim=13, num_candidates=k)
+    codes = hashing.spec_codes(spec)
+    assert codes.grid is None if streamed else codes.grid.dtype == dtype
+    assert len(list(codes.blocks())) == (3 if streamed else 1)
+    positions = list(np.ndindex(9, 13))
+    buckets = np.array([hashing.bucket(m, n, spec) for m, n in positions]).reshape(9, 13)
+    signs = np.array([hashing.sign(m, n, spec) for m, n in positions]).reshape(9, 13)
+    assert np.array_equal(hashing.bucket_grid(spec), buckets)
+    assert hashing.bucket_grid(spec).dtype == np.int64
+    assert np.array_equal(hashing.sign_grid(spec), signs)
+    assert hashing.sign_grid(spec).dtype == np.int8
+    p = np.random.default_rng(k).normal(size=k)
+    for dt in (np.float64, np.float32):
+        w = materialize_weights(p.astype(dt), spec)
+        assert w.dtype == dt
+        assert np.array_equal(w, p.astype(dt)[buckets] * signs.astype(dt))
+    report = hashing.hash_stats(spec)
+    loads = np.bincount(buckets.ravel(), minlength=k)
+    assert report["bucket_loads"] == loads.tolist()
+    assert (report["min_load"], report["max_load"]) == (loads.min(), loads.max())
+    assert report["empty_buckets"] == (loads == 0).sum()
+    assert report["sign_mean"] == signs.sum() / signs.size
+    expected = signs.size / k
+    assert report["chi_square"] == float(((loads - expected) ** 2 / expected).sum())
