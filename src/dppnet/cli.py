@@ -67,11 +67,19 @@ def _gen_config(raw) -> GenConfig:
     return GenConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
+def _seed(args, default: int) -> int:
+    """The --seed flag's value, default when it is not given."""
+    seed = default if args.seed is None else args.seed
+    if seed < 0:  # numpy takes no negative seed
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def cmd_gen(args) -> int:
+    seed = _seed(args, 1)
     gen_cfg = GenConfig()
     if args.gen_config:
         gen_cfg = read_json(args.gen_config, ConfigError, _gen_config)
-    seed = args.seed if args.seed is not None else 1
     out = Path(args.out)
     names = ("train", "val", "test")
     with checkpoint.replacing(out, [f"{n}.jsonl" for n in names] + ["gen_config.json"]) as new:
@@ -257,7 +265,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args, 0)
     report = oracles.run_oracle_suite(seed)
     for m in report["modules"]:
         _progress(f"{'PASS' if m['passed'] else 'FAIL'} {m['module']}: {m['max_rel_err']:.2e}")

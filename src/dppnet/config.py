@@ -131,6 +131,8 @@ class TrainSchedule:
             "clip_threshold": (lambda v: v > 0, "> 0"),
             "batch_size": (lambda v: v >= 2, ">= 2 (batch norm needs 2 rows)"),
             "unfreeze_patience": (lambda v: v >= 0, ">= 0"),
+            # a NaN gap compares False with every accuracy gap: no freeze ever
+            "overfit_gap": (math.isfinite, "finite"),
             "overfit_epochs": _AT_LEAST_1,
         })
 

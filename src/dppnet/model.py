@@ -145,23 +145,22 @@ def question_branch(store: ParamStore, tokens: np.ndarray):
     """Embedding + GRU over a B x T token batch; returns (h_last, trace, shared).
 
     The predicted weights depend on the question alone, so the encoder runs
-    once per distinct token row, in first-occurrence order, and h_last gives
-    each batch row its question's final state.  shared is (the distinct token
-    rows, each batch row's index among them) when some rows repeat, and None
-    when they are all distinct: then the encoder ran on the batch as given,
-    with no gather (a batch of one skips the check).  trace covers the rows
-    the encoder ran on.  It reads only the embed.* and gru.* tensors.
+    once per distinct token row, in first-occurrence order.  shared is (the
+    distinct token rows, each batch row's index among them) when some rows
+    repeat, and h_last then holds one final state per distinct question.
+    When the rows are all distinct shared is None: the encoder ran on the
+    batch as given and h_last has one row per batch row (a batch of one
+    skips the check).  trace covers the rows the encoder ran on.  It reads
+    only the embed.* and gru.* tensors.
     """
     shared = None
     if len(tokens) > 1:
         distinct, inverse = _distinct(tokens.tolist())
         if len(distinct) < len(tokens):
-            tokens, inverse = np.asarray(distinct, dtype=np.int64), np.asarray(inverse)
-            shared = tokens, inverse
+            tokens = np.asarray(distinct, dtype=np.int64)
+            shared = tokens, np.asarray(inverse)
     x_seq = enc.embed(tokens, store["embed.table"])
     h_last, trace = enc.gru_encode(x_seq, enc.GruParams.from_store(store))
-    if shared is not None:
-        h_last = h_last[inverse]
     return h_last, trace, shared
 
 
@@ -170,10 +169,14 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
 
     `encoding` is question_branch's (h_last, trace, shared) for the same batch.
     The adapter, the candidate projection + dynamic layer (or the concat
-    mixer), batch norm and the classifier run here, one row per example; the
-    store is only read.
+    mixer), batch norm and the classifier run here; the store is only read.
+    With shared, the projection runs once per distinct question and the
+    dynamic layer gathers each question's weights once for all of its rows;
+    the concat mixer gets each row's own copy of its question's state.
+    caches["candidates"] has one row per example either way.
     """
     h_last, trace, shared = encoding
+    questions = None if shared is None else shared[1]
     caches = {"features": features, "mode": mode, "gru": trace, "h_last": h_last,
               "shared": shared}
     f_in, h1 = _adapter_forward(store, features)
@@ -181,15 +184,18 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
 
     bn = _bn_state(cfg, store)
     if cfg.variant == "concat":
-        joint = np.concatenate([f_in, h_last], axis=1)
+        h_rows = h_last if questions is None else h_last[questions]
+        joint = np.concatenate([f_in, h_rows], axis=1)
         z1 = activation("relu", matmul(joint, store["mix.w1"].T) + store["mix.b1"])
         z2 = matmul(z1, store["mix.w2"].T) + store["mix.b2"]
         caches["joint"], caches["z1"] = joint, z1
         pre_cls = z2
     else:
         candidates = enc.predict_candidates(h_last, store["proj.w"])
-        caches["candidates"] = candidates
-        pre_cls = dyn_forward(f_in, candidates, store["dyn.b"], cfg.hash_spec())
+        caches["question_candidates"] = candidates
+        caches["candidates"] = candidates if questions is None else candidates[questions]
+        pre_cls = dyn_forward(f_in, candidates, store["dyn.b"], cfg.hash_spec(),
+                              questions=questions)
 
     y_bn, bn_cache, caches["bn_running"] = batchnorm(pre_cls, bn, mode)
     r_out = activation("relu", y_bn)
@@ -237,6 +243,7 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
     d_bn = activation_backward("relu", r_out, d_rout)
     d_pre, grads["bn.gamma"], grads["bn.beta"] = batchnorm_backward(caches["bn_cache"], d_bn)
 
+    shared = caches["shared"]
     if cfg.variant == "concat":
         z1, joint = caches["z1"], caches["joint"]
         grads["mix.w2"] = matmul(d_pre.T, z1)
@@ -247,20 +254,21 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
         d_joint = matmul(dz1, store["mix.w1"])
         n = cfg.adapter_out
         d_fin, dh_last = d_joint[:, :n], d_joint[:, n:]
+        if shared is not None:
+            # rows asking one question share its encoding, so their gradients
+            # add up, in batch-row order, into that question's row
+            dh_last = enc.embed_backward(shared[1], dh_last, len(shared[0]))
     else:
+        # with shared, d_candidates arrive summed per question
         d_fin, d_cand, grads["dyn.b"] = dyn_backward(
-            caches["f_in"], caches["candidates"], d_pre, cfg.hash_spec()
+            caches["f_in"], caches["question_candidates"], d_pre, cfg.hash_spec(),
+            questions=None if shared is None else shared[1],
         )
         dh_last, grads["proj.w"] = enc.predict_candidates_backward(
             caches["h_last"], store["proj.w"], d_cand
         )
 
-    tokens = caches["tokens"]
-    if caches["shared"] is not None:
-        # rows asking one question share its encoding, so their gradients
-        # add up, in batch-row order, into that question's row
-        tokens, inverse = caches["shared"]
-        dh_last = enc.embed_backward(inverse, dh_last, len(tokens))
+    tokens = caches["tokens"] if shared is None else shared[0]
     gru_params = enc.GruParams.from_store(store)
     dx_seq, gru_grads = enc.gru_encode_backward(caches["gru"], gru_params, dh_last)
     for k, v in gru_grads.items():

@@ -816,3 +816,23 @@ class TestCliContract:
                     json.loads(doc)
 
         run()
+
+    @pytest.mark.parametrize("command", ["gen", "gradcheck"])
+    def test_seed_flag_values_exit_cleanly(self, command, tmp_path):
+        # numpy refuses a negative seed; the flag must not reach it
+        out = tmp_path / "gen"
+
+        @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+        @given(st.just(-1) | st.integers(max_value=-2))
+        def run(seed):
+            argv = [command, f"--seed={seed}"] + (["--out", str(out)] if command == "gen" else [])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert (code, stdout.getvalue()) == (1, "")
+            (line,) = stderr.getvalue().splitlines()
+            error = json.loads(line)["error"]
+            assert error["type"] == "ConfigError" and "--seed" in error["message"]
+            assert not out.exists()
+
+        run()

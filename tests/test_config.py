@@ -54,6 +54,9 @@ def test_train_config_field_type_named(capsys, tmp_path, section, field, value):
         (TrainSchedule, "adam_eps", -1e-8),
         (TrainSchedule, "unfreeze_patience", -1),
         (TrainSchedule, "overfit_epochs", 0),
+        (TrainSchedule, "overfit_gap", float("nan")),
+        (TrainSchedule, "overfit_gap", float("inf")),
+        (TrainSchedule, "overfit_gap", float("-inf")),
         (ModelConfig, "bn_eps", 0.0),
         (ModelConfig, "bn_eps", -1e-5),
         (ModelConfig, "bn_momentum", 1.5),
@@ -70,7 +73,8 @@ def test_range_edges_stay_valid():
     ModelConfig(bn_momentum=1.0)
 
 
-@pytest.mark.parametrize("flag, value", [("--lr", "-0.01"), ("--max-epochs", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag, value", [("--lr", "-0.01"), ("--max-epochs", "0"), ("--seed", "-1"),
+                                         ("--overfit-gap", "nan")])
 def test_train_flag_out_of_range_writes_nothing(capsys, tmp_path, flag, value):
     splits = generate_synthetic(GenConfig(n_train=40, n_val=10, n_test=10), seed=2)
     for name, split in zip(("train", "val", "test"), splits):

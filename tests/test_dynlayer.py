@@ -205,6 +205,18 @@ def test_shape_errors():
         dyn_backward(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 5)), spec)
 
 
+def test_questions_must_index_the_candidate_rows():
+    spec = HashSpec(out_dim=2, in_dim=3, num_candidates=4)
+    x, p, bias, d = np.zeros((3, 3)), np.zeros((2, 4)), np.zeros(2), np.zeros((3, 2))
+    for questions in ([0, 1], [0, 1, 2], [0, -1, 1], [0.0, 1.0, 1.0], [[0, 1, 1]]):
+        with pytest.raises(ShapeError, match="questions"):
+            dyn_forward(x, p, bias, spec, questions=np.asarray(questions))
+        with pytest.raises(ShapeError, match="questions"):
+            dyn_backward(x, p, d, spec, questions=np.asarray(questions))
+    with pytest.raises(ShapeError):
+        dyn_backward(x, p, np.zeros((2, 2)), spec, questions=np.array([0, 1, 1]))
+
+
 def test_materialize_guard():
     spec = HashSpec(out_dim=2048, in_dim=1024, num_candidates=4)
     with pytest.raises(ShapeError, match="guard"):
@@ -262,6 +274,12 @@ def check_against_dense(spec, x, p, bias, d_out):
     assert np.abs(dx - (d_out[:, None, :] @ w)[:, 0]).max() <= 1e-12
     assert np.array_equal(dp, row_major_dp(x, d_out, spec))
     assert np.array_equal(db, d_out.sum(axis=0))
+    # each row its own question: the grouped loop gives the per-row bits, but for dx
+    own = np.arange(len(x))
+    assert np.array_equal(dyn_forward(x, p, bias, spec, questions=own), out)
+    grouped_dx, grouped_dp, grouped_db = dyn_backward(x, p, d_out, spec, questions=own)
+    assert np.abs(grouped_dx - dx).max() <= 1e-12
+    assert np.array_equal(grouped_dp, dp) and np.array_equal(grouped_db, db)
 
 
 def code_bytes(spec):
@@ -504,3 +522,73 @@ def test_nonfinite_candidates_give_the_bits_of_take_times_sign():
     assert np.isnan(out).any() and np.isinf(w).any()
     assert out.tobytes() == out_ref.tobytes()
     assert dx.tobytes() == dx_ref.tobytes()
+
+
+# --- rows grouped by question --------------------------------------------------
+
+
+def grouped_instance(spec, dtype, seed):
+    """32 rows asking 9 questions, three of them asked once: features, each
+    question's candidates, each row's question, bias and output gradient."""
+    rng = np.random.default_rng(seed)
+    questions = rng.permutation(np.r_[np.arange(9), rng.integers(3, 9, size=23)])
+    arrays = (rng.normal(size=(32, spec.in_dim)), rng.normal(size=(9, spec.num_candidates)),
+              rng.normal(size=spec.out_dim), rng.normal(size=(32, spec.out_dim)))
+    x, p, bias, d = (a.astype(dtype) for a in arrays)
+    return x, p, questions, bias, d
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["f64", "f32"])
+@pytest.mark.parametrize("spec, cache_bytes", [
+    (HashSpec(out_dim=32, in_dim=64, num_candidates=512), hashing.CACHE_BYTES),
+    (HashSpec(out_dim=300, in_dim=200, num_candidates=50), 0),
+], ids=["cached", "streamed"])
+def test_grouped_rows_match_the_per_row_layer(spec, cache_bytes, dtype, tol, monkeypatch):
+    monkeypatch.setattr(hashing, "CACHE_BYTES", cache_bytes)
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    x, p, questions, bias, d = grouped_instance(spec, dtype, seed=17)
+    rows_p = p[questions]  # the per-row layer's input: each row's own copy
+    out = dyn_forward(x, p, bias, spec, questions=questions)
+    assert np.array_equal(out, dyn_forward(x, rows_p, bias, spec))
+    dx, dp, db = dyn_backward(x, p, d, spec, questions=questions)
+    want_dx, want_dp, want_db = dyn_backward(x, rows_p, d, spec)
+    assert dx.dtype == dp.dtype == dtype and dp.shape == p.shape
+    assert np.abs(dx - want_dx).max() <= (1e-12 if dtype == np.float64 else 1e-4)
+    assert np.array_equal(db, want_db)
+    summed = np.zeros(p.shape)
+    np.add.at(summed, questions, want_dp.astype(np.float64))
+    for q in range(len(p)):
+        rows = np.flatnonzero(questions == q)
+        if len(rows) == 1:
+            assert np.array_equal(dp[q], want_dp[rows[0]]), q
+        else:
+            assert np.abs(dp[q] - summed[q]).max() <= tol * np.abs(summed[q]).max(), q
+    assert (spec in hashing._grid_cache) == (cache_bytes > 0)
+
+
+@pytest.mark.parametrize("spec, batch, asked", [
+    (HashSpec(out_dim=32, in_dim=64, num_candidates=512), 256, 28), (WIDE, 32, 8),
+], ids=["eval-batch", "wide"])
+def test_grouped_transient_memory_stays_within_block_budget(spec, batch, asked):
+    # the bounds of the per-row eval-batch test: one gathered block on top of
+    # the output in forward, under three blocks on top of the gradients in backward
+    rng = np.random.default_rng(18)
+    questions = np.arange(batch) % asked
+    x, d = rng.normal(size=(batch, spec.in_dim)), rng.normal(size=(batch, spec.out_dim))
+    p, bias = rng.normal(size=(asked, spec.num_candidates)), np.zeros(spec.out_dim)
+    block_bytes = hashing.BLOCK_BUDGET * 8
+    dyn_forward(x, p, bias, spec, questions=questions)  # warm up the spec cache
+    dyn_backward(x, p, d, spec, questions=questions)
+
+    tracemalloc.start()
+    out = dyn_forward(x, p, bias, spec, questions=questions)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak - out.nbytes < 2 * block_bytes
+
+    tracemalloc.start()
+    grads = dyn_backward(x, p, d, spec, questions=questions)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak - sum(g.nbytes for g in grads) < 3 * block_bytes

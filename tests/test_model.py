@@ -633,10 +633,13 @@ class TestSharedQuestions:
             assert grads[name].dtype == g.dtype == store[name].dtype, name
             assert np.abs(grads[name] - g).max() <= rel * np.abs(g).max(), name
 
-    def test_a_training_step_encodes_only_the_distinct_rows(self, toy_cfg, toy_store,
-                                                           monkeypatch):
+    def encoder_calls(self, variant, monkeypatch):
+        """(encoder function, rows...) for each encoder call one training step
+        makes, on 8 rows asking 3 questions."""
         from dppnet import encoder as enc
 
+        cfg = toy_model_config(variant=variant)
+        store = mdl.init_params(cfg, "f64", seed=11)
         rows = []
         forward, backward, scatter = enc.gru_encode, enc.gru_encode_backward, enc.embed_backward
         monkeypatch.setattr(enc, "gru_encode", lambda x, p: rows.append(
@@ -645,11 +648,41 @@ class TestSharedQuestions:
             ("gru_encode_backward", trace.h_bar.shape[1], len(dh))) or backward(trace, p, dh))
         monkeypatch.setattr(enc, "embed_backward", lambda tokens, d, v: rows.append(
             ("embed_backward", len(tokens), len(d))) or scatter(tokens, d, v))
-        feats, tokens, targets = self.batch(toy_cfg, [2, 0, 0, 1, 2, 2, 0, 1], seed=33)
-        mdl.loss_and_grads(toy_cfg, toy_store, feats, tokens, targets)
+        feats, tokens, targets = self.batch(cfg, [2, 0, 0, 1, 2, 2, 0, 1], seed=33)
+        mdl.loss_and_grads(cfg, store, feats, tokens, targets)
+        return rows
+
+    def test_a_training_step_encodes_only_the_distinct_rows(self, monkeypatch):
+        # the dynamic layer hands over d_candidates already summed per question
+        assert self.encoder_calls("dppnet", monkeypatch) == [
+            ("gru_encode", 3), ("gru_encode_backward", 3, 3), ("embed_backward", 3, 3)]
+
+    def test_the_concat_mixer_sums_its_rows_before_the_gru(self, monkeypatch):
         # the first scatter sums the 8 rows' dh_last into the 3 questions' rows
-        assert rows == [("gru_encode", 3), ("embed_backward", 8, 8),
-                        ("gru_encode_backward", 3, 3), ("embed_backward", 3, 3)]
+        assert self.encoder_calls("concat", monkeypatch) == [
+            ("gru_encode", 3), ("embed_backward", 8, 8),
+            ("gru_encode_backward", 3, 3), ("embed_backward", 3, 3)]
+
+    def test_a_training_step_predicts_each_questions_weights_once(self, toy_cfg, toy_store,
+                                                                 monkeypatch):
+        from dppnet import encoder as enc, hashing
+
+        rows = []
+        project, unproject = enc.predict_candidates, enc.predict_candidates_backward
+        table = hashing.SpecCodes.signed_table
+        monkeypatch.setattr(enc, "predict_candidates", lambda h, w: rows.append(
+            ("predict_candidates", len(h))) or project(h, w))
+        monkeypatch.setattr(enc, "predict_candidates_backward", lambda h, w, d: rows.append(
+            ("predict_candidates_backward", len(h), len(d))) or unproject(h, w, d))
+        monkeypatch.setattr(hashing.SpecCodes, "signed_table", lambda codes, p: rows.append(
+            ("signed_table", len(p))) or table(codes, p))
+        feats, tokens, targets = self.batch(toy_cfg, [2, 0, 0, 1, 2, 2, 0, 1], seed=37)
+        _, caches, _ = mdl.loss_and_grads(toy_cfg, toy_store, feats, tokens, targets)
+        assert rows == [("predict_candidates", 3), ("signed_table", 3), ("signed_table", 3),
+                        ("predict_candidates_backward", 3, 3)]
+        # the layer's input as perfbench reads it: one candidate row per example
+        inverse = caches["shared"][1]
+        assert same_bits(caches["candidates"], caches["question_candidates"][inverse])
 
     @pytest.mark.parametrize("variant", ["dppnet", "concat"])
     def test_distinct_rows_keep_the_all_rows_bits(self, variant):
