@@ -175,6 +175,8 @@ def load_params(directory) -> ParamStore:
         if len(raw) != e["nbytes"]:
             raise CheckpointError(f"entry {e['name']!r} truncated in {blob_path}")
         value = np.frombuffer(raw, dtype=wire, count=count).reshape(e["shape"])
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"entry {e['name']!r} in {blob_path} holds non-finite values")
         store.add(e["name"], value, trainable=e["trainable"], role=e["role"])
         if e["frozen"]:
             frozen.append(e["name"])

@@ -121,7 +121,7 @@ def sign_row(m: int, spec: HashSpec, stop: int | None = None) -> np.ndarray:
     return np.where(h & _U(1) == 0, 1, -1).astype(np.int8)
 
 
-# Entries (batch rows x output rows x in_dim) one block may touch: it bounds
+# Entries (questions x output rows x in_dim) one block may touch: it bounds
 # the gathered weights and the uint64 hash temporaries of every blocked loop.
 BLOCK_BUDGET = 1 << 15
 # Bytes of codes and lookup tables that every cached spec shares; the oldest

@@ -19,7 +19,7 @@ from . import checkpoint as ckpt
 from . import encoder as enc
 from .config import ModelConfig, RunConfig
 from .data import AnswerSpace, Vocabulary, length_batches
-from .dynlayer import dyn_backward, dyn_forward
+from .dynlayer import dyn_backward, dyn_forward, group_rows
 from .errors import CheckpointError, ConfigError, ShapeError
 from .jsonio import read_json
 from .tensor import (
@@ -146,19 +146,21 @@ def question_branch(store: ParamStore, tokens: np.ndarray):
 
     The predicted weights depend on the question alone, so the encoder runs
     once per distinct token row, in first-occurrence order.  shared is (the
-    distinct token rows, each batch row's index among them) when some rows
-    repeat, and h_last then holds one final state per distinct question.
-    When the rows are all distinct shared is None: the encoder ran on the
-    batch as given and h_last has one row per batch row (a batch of one
-    skips the check).  trace covers the rows the encoder ran on.  It reads
-    only the embed.* and gru.* tensors.
+    distinct token rows, each batch row's index among them, those indices
+    grouped by dynlayer.group_rows) when some rows repeat, and h_last then
+    holds one final state per distinct question.  When the rows are all
+    distinct shared is None: the encoder ran on the batch as given and
+    h_last has one row per batch row (a batch of one skips the check).
+    trace covers the rows the encoder ran on.  It reads only the embed.* and
+    gru.* tensors.
     """
     shared = None
     if len(tokens) > 1:
         distinct, inverse = _distinct(tokens.tolist())
         if len(distinct) < len(tokens):
             tokens = np.asarray(distinct, dtype=np.int64)
-            shared = tokens, np.asarray(inverse)
+            inverse = np.asarray(inverse)
+            shared = tokens, inverse, group_rows(inverse, len(tokens))
     x_seq = enc.embed(tokens, store["embed.table"])
     h_last, trace = enc.gru_encode(x_seq, enc.GruParams.from_store(store))
     return h_last, trace, shared
@@ -170,13 +172,13 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
     `encoding` is question_branch's (h_last, trace, shared) for the same batch.
     The adapter, the candidate projection + dynamic layer (or the concat
     mixer), batch norm and the classifier run here; the store is only read.
-    With shared, the projection runs once per distinct question and the
-    dynamic layer gathers each question's weights once for all of its rows;
-    the concat mixer gets each row's own copy of its question's state.
+    With shared, the projection runs once per distinct question, and the
+    dynamic layer takes shared's row grouping, made once per batch, to
+    gather each question's weights once for all of its rows; the concat
+    mixer gets each row's own copy of its question's state.
     caches["candidates"] has one row per example either way.
     """
     h_last, trace, shared = encoding
-    questions = None if shared is None else shared[1]
     caches = {"features": features, "mode": mode, "gru": trace, "h_last": h_last,
               "shared": shared}
     f_in, h1 = _adapter_forward(store, features)
@@ -184,7 +186,7 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
 
     bn = _bn_state(cfg, store)
     if cfg.variant == "concat":
-        h_rows = h_last if questions is None else h_last[questions]
+        h_rows = h_last if shared is None else h_last[shared[1]]
         joint = np.concatenate([f_in, h_rows], axis=1)
         z1 = activation("relu", matmul(joint, store["mix.w1"].T) + store["mix.b1"])
         z2 = matmul(z1, store["mix.w2"].T) + store["mix.b2"]
@@ -193,9 +195,9 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
     else:
         candidates = enc.predict_candidates(h_last, store["proj.w"])
         caches["question_candidates"] = candidates
-        caches["candidates"] = candidates if questions is None else candidates[questions]
+        caches["candidates"] = candidates if shared is None else candidates[shared[1]]
         pre_cls = dyn_forward(f_in, candidates, store["dyn.b"], cfg.hash_spec(),
-                              questions=questions)
+                              questions=None if shared is None else shared[2])
 
     y_bn, bn_cache, caches["bn_running"] = batchnorm(pre_cls, bn, mode)
     r_out = activation("relu", y_bn)
@@ -262,7 +264,7 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
         # with shared, d_candidates arrive summed per question
         d_fin, d_cand, grads["dyn.b"] = dyn_backward(
             caches["f_in"], caches["question_candidates"], d_pre, cfg.hash_spec(),
-            questions=None if shared is None else shared[1],
+            questions=None if shared is None else shared[2],
         )
         dh_last, grads["proj.w"] = enc.predict_candidates_backward(
             caches["h_last"], store["proj.w"], d_cand

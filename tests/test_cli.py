@@ -817,6 +817,34 @@ class TestCliContract:
 
         run()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("command, name", [
+        ("predict", "cls.w"), ("predict", "proj.w"), ("train --pretrained-encoder", "gru.u_h"),
+    ])
+    def test_nonfinite_tensor_is_refused(self, valid, tmp_path, command, name, value):
+        # one value-level mutant: a single entry of one tensor in params.bin
+        ckpt = shutil.copytree(valid["checkpoint"], tmp_path / "ckpt")
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        entry = next(e for e in manifest["entries"] if e["name"] == name)
+        wire = np.dtype({"f64": "<f8", "f32": "<f4"}[entry["dtype"]])
+        with open(ckpt / "params.bin", "r+b") as blob:
+            blob.seek(entry["offset"] + entry["nbytes"] // wire.itemsize // 2 * wire.itemsize)
+            blob.write(np.array(value, dtype=wire).tobytes())
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(valid["data"])
+        argv = (["predict", "--checkpoint", str(ckpt), "--data", str(data)] if command == "predict"
+                else ["train", "--data", str(valid["data dir"]), "--out", str(tmp_path / "run"),
+                      "--pretrained-encoder", str(ckpt), "--max-epochs", "1"])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert (code, stdout.getvalue()) == (1, "")
+        (line,) = stderr.getvalue().splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "CheckpointError"
+        assert repr(name) in error["message"] and "non-finite" in error["message"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["gen", "gradcheck"])
     def test_seed_flag_values_exit_cleanly(self, command, tmp_path):
         # numpy refuses a negative seed; the flag must not reach it

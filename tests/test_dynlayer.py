@@ -274,11 +274,12 @@ def check_against_dense(spec, x, p, bias, d_out):
     assert np.abs(dx - (d_out[:, None, :] @ w)[:, 0]).max() <= 1e-12
     assert np.array_equal(dp, row_major_dp(x, d_out, spec))
     assert np.array_equal(db, d_out.sum(axis=0))
-    # each row its own question: the grouped loop gives the per-row bits, but for dx
+    # each row its own question, grouped: one run of one-row questions, so the
+    # one loop takes the same tiles and sums as without questions
     own = np.arange(len(x))
     assert np.array_equal(dyn_forward(x, p, bias, spec, questions=own), out)
     grouped_dx, grouped_dp, grouped_db = dyn_backward(x, p, d_out, spec, questions=own)
-    assert np.abs(grouped_dx - dx).max() <= 1e-12
+    assert np.array_equal(grouped_dx, dx)
     assert np.array_equal(grouped_dp, dp) and np.array_equal(grouped_db, db)
 
 
@@ -385,7 +386,7 @@ def test_spec_above_cache_limit_is_not_cached(monkeypatch):
 
 
 def test_spec_above_cache_limit_is_hashed_once_per_backward(monkeypatch):
-    # batch 3: 54-row gather tiles nest in row blocks of 162 rows, each hashed once
+    # 81-row steps, two to a row block of 162 rows, each block hashed once
     spec = HashSpec(out_dim=200, in_dim=200, num_candidates=8)
     monkeypatch.setattr(hashing, "CACHE_BYTES", code_bytes(spec) - 1)
     monkeypatch.setattr(hashing, "_grid_cache", {})
@@ -487,7 +488,7 @@ def test_wide_layer_matches_dense_at_full_size(dtype):
     rng = np.random.default_rng(14)
     tol = 1e-12 if dtype == np.float64 else 1e-4
     # 10 and 11 are batches the trainer streams: d_candidates is carried
-    # across row blocks of 30 rows (ten 3-row gather tiles) and of 32 rows
+    # across row steps of 16 rows, each gathered for two rows at a time
     for batch in (2, 10, 11):
         x = rng.normal(size=(batch, 1024)).astype(dtype)
         p = rng.normal(size=(batch, 8)).astype(dtype)
@@ -527,27 +528,37 @@ def test_nonfinite_candidates_give_the_bits_of_take_times_sign():
 # --- rows grouped by question --------------------------------------------------
 
 
-def grouped_instance(spec, dtype, seed):
-    """32 rows asking 9 questions, three of them asked once: features, each
-    question's candidates, each row's question, bias and output gradient."""
+def grouped_instance(spec, dtype, seed, batch=32, asked=9):
+    """batch rows asking asked questions, the first three of them (or all, if
+    fewer) asked once: features, each question's candidates, each row's
+    question, bias and output gradient."""
     rng = np.random.default_rng(seed)
-    questions = rng.permutation(np.r_[np.arange(9), rng.integers(3, 9, size=23)])
-    arrays = (rng.normal(size=(32, spec.in_dim)), rng.normal(size=(9, spec.num_candidates)),
-              rng.normal(size=spec.out_dim), rng.normal(size=(32, spec.out_dim)))
+    questions = rng.permutation(np.r_[np.arange(asked),
+                                      rng.integers(3, max(asked, 4), size=batch - asked)])
+    arrays = (rng.normal(size=(batch, spec.in_dim)), rng.normal(size=(asked, spec.num_candidates)),
+              rng.normal(size=spec.out_dim), rng.normal(size=(batch, spec.out_dim)))
     x, p, bias, d = (a.astype(dtype) for a in arrays)
     return x, p, questions, bias, d
 
 
+DEFAULT = HashSpec(out_dim=32, in_dim=64, num_candidates=512)
+
+
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
                          ids=["f64", "f32"])
-@pytest.mark.parametrize("spec, cache_bytes", [
-    (HashSpec(out_dim=32, in_dim=64, num_candidates=512), hashing.CACHE_BYTES),
-    (HashSpec(out_dim=300, in_dim=200, num_candidates=50), 0),
-], ids=["cached", "streamed"])
-def test_grouped_rows_match_the_per_row_layer(spec, cache_bytes, dtype, tol, monkeypatch):
+@pytest.mark.parametrize("spec, cache_bytes, batch, asked", [
+    (DEFAULT, hashing.CACHE_BYTES, 32, 9),
+    (HashSpec(out_dim=300, in_dim=200, num_candidates=50), 0, 32, 9),
+    # near-distinct and heavily repeated batches, and a batch of one
+    (DEFAULT, hashing.CACHE_BYTES, 32, 31), (DEFAULT, hashing.CACHE_BYTES, 256, 255),
+    (DEFAULT, hashing.CACHE_BYTES, 256, 28), (DEFAULT, hashing.CACHE_BYTES, 1, 1),
+], ids=["cached", "streamed", "cached-32-rows-31-questions", "cached-256-rows-255-questions",
+        "cached-256-rows-28-questions", "cached-one-row"])
+def test_grouped_rows_match_the_per_row_layer(spec, cache_bytes, batch, asked, dtype, tol,
+                                              monkeypatch):
     monkeypatch.setattr(hashing, "CACHE_BYTES", cache_bytes)
     monkeypatch.setattr(hashing, "_grid_cache", {})
-    x, p, questions, bias, d = grouped_instance(spec, dtype, seed=17)
+    x, p, questions, bias, d = grouped_instance(spec, dtype, 17, batch, asked)
     rows_p = p[questions]  # the per-row layer's input: each row's own copy
     out = dyn_forward(x, p, bias, spec, questions=questions)
     assert np.array_equal(out, dyn_forward(x, rows_p, bias, spec))
@@ -568,8 +579,8 @@ def test_grouped_rows_match_the_per_row_layer(spec, cache_bytes, dtype, tol, mon
 
 
 @pytest.mark.parametrize("spec, batch, asked", [
-    (HashSpec(out_dim=32, in_dim=64, num_candidates=512), 256, 28), (WIDE, 32, 8),
-], ids=["eval-batch", "wide"])
+    (DEFAULT, 256, 28), (WIDE, 32, 8), (DEFAULT, 256, 255),
+], ids=["eval-batch", "wide", "eval-batch-255-questions"])
 def test_grouped_transient_memory_stays_within_block_budget(spec, batch, asked):
     # the bounds of the per-row eval-batch test: one gathered block on top of
     # the output in forward, under three blocks on top of the gradients in backward
