@@ -384,13 +384,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DppnetError as e:
-        json.dump({"error": {"type": type(e).__name__, "message": str(e)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except OSError as e:
-        # a path that is missing or of the wrong kind: FileNotFound, IsADirectory, ...
-        kind = type(e).__name__.removesuffix("Error")
+    except (DppnetError, OSError, FloatingPointError) as e:
+        # an OSError is a path that is missing or of the wrong kind (FileNotFound,
+        # IsADirectory, ...); a FloatingPointError is weights that overflow
+        kind = type(e).__name__
+        if isinstance(e, OSError):
+            kind = kind.removesuffix("Error")
         json.dump({"error": {"type": kind, "message": str(e)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1

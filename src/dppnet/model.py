@@ -142,52 +142,47 @@ def _distinct(sequences) -> tuple[list[tuple], list[int]]:
 
 
 def question_branch(store: ParamStore, tokens: np.ndarray):
-    """Embedding + GRU over a B x T token batch; returns (h_last, trace, shared).
+    """Embedding + GRU over a B x T token batch; returns (h_last, trace, question).
 
     The predicted weights depend on the question alone, so the encoder runs
-    once per distinct token row, in first-occurrence order.  shared is (the
-    distinct token rows, each batch row's index among them, those indices
-    grouped by dynlayer.group_rows) when some rows repeat, and h_last then
-    holds one final state per distinct question.  When the rows are all
-    distinct shared is None: the encoder ran on the batch as given and
-    h_last has one row per batch row (a batch of one skips the check).
-    trace covers the rows the encoder ran on.  It reads only the embed.* and
-    gru.* tensors.
+    once per distinct token row, in first-occurrence order: h_last and trace
+    cover those rows.  question is (the distinct token rows, each batch row's
+    index among them, those indices grouped by dynlayer.group_rows or None
+    when every row is its own question in order); a batch of one skips the
+    check.  It reads only the embed.* and gru.* tensors.
     """
-    shared = None
+    inverse, groups = np.arange(len(tokens)), None
     if len(tokens) > 1:
-        distinct, inverse = _distinct(tokens.tolist())
+        distinct, rows = _distinct(tokens.tolist())
         if len(distinct) < len(tokens):
-            tokens = np.asarray(distinct, dtype=np.int64)
-            inverse = np.asarray(inverse)
-            shared = tokens, inverse, group_rows(inverse, len(tokens))
+            tokens, inverse = np.asarray(distinct, dtype=np.int64), np.asarray(rows)
+            groups = group_rows(inverse, len(tokens))
     x_seq = enc.embed(tokens, store["embed.table"])
     h_last, trace = enc.gru_encode(x_seq, enc.GruParams.from_store(store))
-    return h_last, trace, shared
+    return h_last, trace, (tokens, inverse, groups)
 
 
 def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> dict:
     """Everything after the question encoder; returns the caches, logits included.
 
-    `encoding` is question_branch's (h_last, trace, shared) for the same batch.
-    The adapter, the candidate projection + dynamic layer (or the concat
-    mixer), batch norm and the classifier run here; the store is only read.
-    With shared, the projection runs once per distinct question, and the
-    dynamic layer takes shared's row grouping, made once per batch, to
-    gather each question's weights once for all of its rows; the concat
-    mixer gets each row's own copy of its question's state.
-    caches["candidates"] has one row per example either way.
+    `encoding` is question_branch's (h_last, trace, question) for the same
+    batch.  The adapter, the candidate projection + dynamic layer (or the
+    concat mixer), batch norm and the classifier run here; the store is only
+    read.  The projection runs once per distinct question, and the dynamic
+    layer takes question's row grouping to gather each question's weights
+    once for all of its rows; the concat mixer gets each row's own copy of
+    its question's state.  caches["shared"] holds question for backward, and
+    caches["candidates"] has one row per example.
     """
-    h_last, trace, shared = encoding
+    h_last, trace, (_, inverse, groups) = encoding
     caches = {"features": features, "mode": mode, "gru": trace, "h_last": h_last,
-              "shared": shared}
+              "shared": encoding[2]}
     f_in, h1 = _adapter_forward(store, features)
     caches["h1"], caches["f_in"] = h1, f_in
 
     bn = _bn_state(cfg, store)
     if cfg.variant == "concat":
-        h_rows = h_last if shared is None else h_last[shared[1]]
-        joint = np.concatenate([f_in, h_rows], axis=1)
+        joint = np.concatenate([f_in, h_last[inverse]], axis=1)
         z1 = activation("relu", matmul(joint, store["mix.w1"].T) + store["mix.b1"])
         z2 = matmul(z1, store["mix.w2"].T) + store["mix.b2"]
         caches["joint"], caches["z1"] = joint, z1
@@ -195,9 +190,9 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
     else:
         candidates = enc.predict_candidates(h_last, store["proj.w"])
         caches["question_candidates"] = candidates
-        caches["candidates"] = candidates if shared is None else candidates[shared[1]]
+        caches["candidates"] = candidates[inverse]
         pre_cls = dyn_forward(f_in, candidates, store["dyn.b"], cfg.hash_spec(),
-                              questions=None if shared is None else shared[2])
+                              questions=groups)
 
     y_bn, bn_cache, caches["bn_running"] = batchnorm(pre_cls, bn, mode)
     r_out = activation("relu", y_bn)
@@ -231,7 +226,6 @@ def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
     """
     features, tokens = _batch(cfg, store, features, tokens)
     caches = head(cfg, store, features, question_branch(store, tokens), mode)
-    caches["tokens"] = tokens
     return softmax(caches["logits"]), caches
 
 
@@ -245,7 +239,7 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
     d_bn = activation_backward("relu", r_out, d_rout)
     d_pre, grads["bn.gamma"], grads["bn.beta"] = batchnorm_backward(caches["bn_cache"], d_bn)
 
-    shared = caches["shared"]
+    tokens, inverse, groups = caches["shared"]
     if cfg.variant == "concat":
         z1, joint = caches["z1"], caches["joint"]
         grads["mix.w2"] = matmul(d_pre.T, z1)
@@ -255,22 +249,19 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
         grads["mix.b1"] = dz1.sum(axis=0)
         d_joint = matmul(dz1, store["mix.w1"])
         n = cfg.adapter_out
-        d_fin, dh_last = d_joint[:, :n], d_joint[:, n:]
-        if shared is not None:
-            # rows asking one question share its encoding, so their gradients
-            # add up, in batch-row order, into that question's row
-            dh_last = enc.embed_backward(shared[1], dh_last, len(shared[0]))
+        # rows asking one question share its encoding, so their gradients
+        # add up, in batch-row order, into that question's row
+        d_fin, dh_last = d_joint[:, :n], enc.embed_backward(inverse, d_joint[:, n:], len(tokens))
     else:
-        # with shared, d_candidates arrive summed per question
+        # d_candidates arrive summed per question
         d_fin, d_cand, grads["dyn.b"] = dyn_backward(
             caches["f_in"], caches["question_candidates"], d_pre, cfg.hash_spec(),
-            questions=None if shared is None else shared[2],
+            questions=groups,
         )
         dh_last, grads["proj.w"] = enc.predict_candidates_backward(
             caches["h_last"], store["proj.w"], d_cand
         )
 
-    tokens = caches["tokens"] if shared is None else shared[0]
     gru_params = enc.GruParams.from_store(store)
     dx_seq, gru_grads = enc.gru_encode_backward(caches["gru"], gru_params, dh_last)
     for k, v in gru_grads.items():
@@ -296,10 +287,14 @@ def predict_classes(cfg: ModelConfig, store: ParamStore, features, tokens,
     question_branch encodes each distinct question of the batch once.
     choice_mask, when given, restricts the argmax to a B x num_answers boolean
     candidate set (multiple-choice evaluation); a row with no allowed class
-    yields -1.
+    yields -1.  A non-finite logit, which has no argmax, raises
+    FloatingPointError.
     """
     features, tokens = _batch(cfg, store, features, tokens)
-    probs = softmax(head(cfg, store, features, question_branch(store, tokens), "eval")["logits"])
+    logits = head(cfg, store, features, question_branch(store, tokens), "eval")["logits"]
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("answer logits are not finite; the weights or features overflow")
+    probs = softmax(logits)
     if choice_mask is None:
         return probs.argmax(axis=1)
     masked = np.where(choice_mask, probs, -np.inf)

@@ -217,7 +217,8 @@ def train(run_config: RunConfig, train_examples, val_examples,
     """Run the full schedule; returns the best-validation checkpoint and log.
 
     The adapter starts frozen for every variant.  A non-finite training loss
-    aborts the run, keeping the best checkpoint seen so far.
+    and a FloatingPointError from a step or the validation pass abort the run,
+    keeping the best checkpoint seen so far.
     """
     from dataclasses import replace
 
@@ -291,30 +292,27 @@ def train(run_config: RunConfig, train_examples, val_examples,
         seen = 0
         correct = 0
         grad_norms = []  # pre-clip global norm per step
-        for rows in train_batches(train_data, schedule.batch_size, rng):
-            feats, tokens, targets = _gather(train_data, rows)
-            try:
+        try:
+            for rows in train_batches(train_data, schedule.batch_size, rng):
+                feats, tokens, targets = _gather(train_data, rows)
                 loss, caches, grads = mdl.loss_and_grads(cfg, store, feats, tokens, targets)
-            except FloatingPointError:
-                aborted = True
-                break
-            if not math.isfinite(loss):
-                aborted = True
-                break
-            # only a step that is taken advances the batch-norm running stats
-            store["bn.running_mean"], store["bn.running_var"] = caches["bn_running"]
-            loss_sum += loss * len(rows)
-            seen += len(rows)
-            correct += int((caches["logits"].argmax(axis=1) == targets).sum())
-            del caches  # two steps' caches (GRU trace included) never coexist
-            grads, norm = clip_gradients(grads, schedule.clip_threshold)
-            grad_norms.append(norm)
-            adam_step(store, grads, adam)
-        if aborted:
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"training loss {loss}")
+                # only a step that is taken advances the batch-norm running stats
+                store["bn.running_mean"], store["bn.running_var"] = caches["bn_running"]
+                loss_sum += loss * len(rows)
+                seen += len(rows)
+                correct += int((caches["logits"].argmax(axis=1) == targets).sum())
+                del caches  # two steps' caches (GRU trace included) never coexist
+                grads, norm = clip_gradients(grads, schedule.clip_threshold)
+                grad_norms.append(norm)
+                adam_step(store, grads, adam)
+            val_acc = evaluate(cfg, store, val_data)
+        except FloatingPointError:
+            aborted = True
             break
         train_loss = loss_sum / seen
         train_acc = correct / seen
-        val_acc = evaluate(cfg, store, val_data)
         epoch_s = time.perf_counter() - started
         log.append(
             {

@@ -2,14 +2,20 @@
 
 perfbench/spans.py wraps (module, function) pairs for its traced run, and
 perfbench/workloads.py calls dppnet through module attributes
-(``trainer.eval_batches``, ``model.encode_question``).  Both files are only
-parsed here, never run, so a name deleted or renamed in src/ fails tier-1
-instead of a traced benchmark run.
+(``trainer.eval_batches``, ``model.encode_question``) and reads
+``model.forward``'s caches (``caches["f_in"]``).  Both files are only parsed
+here, never run, so a name deleted or renamed in src/ fails tier-1 instead of
+a traced benchmark run.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import toy_model_config
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,3 +70,27 @@ def test_every_dppnet_name_the_workloads_read_exists():
             ("dynlayer", "materialize_weights"), ("config", "TrainSchedule")} <= set(pins)
     assert len(pins) >= 26  # 23 module attributes and 3 imported config names
     assert _missing(pins) == []
+
+
+def cache_pins():
+    """The string keys workloads.py subscripts a name `caches` with."""
+    return sorted({node.slice.value for node in ast.walk(_parse("workloads.py"))
+                   if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                   and node.value.id == "caches" and isinstance(node.slice, ast.Constant)})
+
+
+@pytest.mark.parametrize("questions", [[0, 1, 0, 2, 1], [0, 1, 2], [0]],
+                         ids=["repeated", "distinct", "one-row"])
+def test_every_cache_the_workloads_read_has_a_row_per_example(questions):
+    from dppnet import model
+
+    keys = cache_pins()
+    assert {"f_in", "candidates"} <= set(keys)
+    cfg = toy_model_config()
+    store = model.init_params(cfg, "f64", seed=0)
+    rng = np.random.default_rng(0)
+    pool = rng.permutation(cfg.vocab_size)[:3 * 4].reshape(3, 4)  # three distinct questions
+    feats = rng.normal(size=(len(questions), cfg.feature_dim))
+    _, caches = model.forward(cfg, store, feats, pool[questions], mode="eval")
+    for key in keys:
+        assert len(caches[key]) == len(questions), key

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dppnet.encoder
 from dppnet.cli import main
 from dppnet.data import GenConfig, generate_synthetic, save_jsonl
 
@@ -817,19 +818,29 @@ class TestCliContract:
 
         run()
 
+    @staticmethod
+    def _edit_tensor(valid, work, name, edit):
+        """A copy of the checkpoint whose tensor name in params.bin holds
+        edit(its flat entries), written in place."""
+        ckpt = shutil.copytree(valid["checkpoint"], work / "ckpt")
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        entry = next(e for e in manifest["entries"] if e["name"] == name)
+        wire = np.dtype({"f64": "<f8", "f32": "<f4"}[entry["dtype"]])
+        with open(ckpt / "params.bin", "r+b") as blob:
+            blob.seek(entry["offset"])
+            flat = np.frombuffer(blob.read(entry["nbytes"]), dtype=wire)
+            blob.seek(entry["offset"])
+            blob.write(np.asarray(edit(flat), dtype=wire).tobytes())
+        return ckpt
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("command, name", [
         ("predict", "cls.w"), ("predict", "proj.w"), ("train --pretrained-encoder", "gru.u_h"),
     ])
     def test_nonfinite_tensor_is_refused(self, valid, tmp_path, command, name, value):
         # one value-level mutant: a single entry of one tensor in params.bin
-        ckpt = shutil.copytree(valid["checkpoint"], tmp_path / "ckpt")
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        entry = next(e for e in manifest["entries"] if e["name"] == name)
-        wire = np.dtype({"f64": "<f8", "f32": "<f4"}[entry["dtype"]])
-        with open(ckpt / "params.bin", "r+b") as blob:
-            blob.seek(entry["offset"] + entry["nbytes"] // wire.itemsize // 2 * wire.itemsize)
-            blob.write(np.array(value, dtype=wire).tobytes())
+        ckpt = self._edit_tensor(valid, tmp_path, name, lambda flat: np.where(
+            np.arange(len(flat)) == len(flat) // 2, value, flat))
         data = tmp_path / "data.jsonl"
         data.write_bytes(valid["data"])
         argv = (["predict", "--checkpoint", str(ckpt), "--data", str(data)] if command == "predict"
@@ -844,6 +855,48 @@ class TestCliContract:
         assert error["type"] == "CheckpointError"
         assert repr(name) in error["message"] and "non-finite" in error["message"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", [[1e300], [-1e300], [1e308, -1e308], [5e-324]],
+                             ids=["+1e300", "-1e300", "+-1e308", "subnormal"])
+    @pytest.mark.parametrize("name", ["cls.w", "proj.w", "gru.u_h", "embed.table"])
+    @pytest.mark.parametrize("command", ["predict --example", "eval", "retrieve"])
+    def test_extreme_finite_tensor_exits_cleanly(self, valid, tmp_path, monkeypatch,
+                                                 command, name, value):
+        # every entry of one tensor set to a finite extreme (cycling through
+        # value): overflow inside the model is refused, never a traceback.
+        # The CLI runs without the oracle regime's saturation asserts.
+        monkeypatch.setattr(dppnet.encoder, "STRICT_GATES", False)
+        ckpt = str(self._edit_tensor(valid, tmp_path, name,
+                                     lambda flat: np.resize(value, len(flat))))
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(valid["data"])
+        argv = {
+            "predict --example": ["predict", "--checkpoint", ckpt,
+                                  "--example", valid["predict --example"].decode()],
+            "eval": ["eval", "--checkpoint", ckpt, "--data", str(data)],
+            "retrieve": ["retrieve", "--checkpoint", ckpt, "--corpus", str(data),
+                         "--query", "what color is the cube", "--top-k", "3"],
+        }[command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                np.errstate(all="ignore"):
+            code = main(argv)
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 1) and "Traceback" not in err
+        if code == 1:
+            assert out == ""
+            (line,) = err.splitlines()
+            assert json.loads(line)["error"]["type"] == "FloatingPointError"
+        else:
+            def refuse(constant):
+                raise AssertionError(f"non-finite number {constant} in the output")
+
+            for doc in out.splitlines() if command.startswith("predict") else [out]:
+                json.loads(doc, parse_constant=refuse)
+        # on these rows alternating class weights of +-1e308 overflow scores
+        # both ways; an argmax over them answered one class for every row
+        if (command, name, len(value)) == ("eval", "cls.w", 2):
+            assert code == 1 and "logits" in err
 
     @pytest.mark.parametrize("command", ["gen", "gradcheck"])
     def test_seed_flag_values_exit_cleanly(self, command, tmp_path):

@@ -91,7 +91,7 @@ class TestForward:
         probs, caches = mdl.forward(cfg, store, feats, tokens, mode=mode)
         staged = mdl.head(cfg, store, feats, mdl.question_branch(store, tokens), mode)
         assert same_bits(probs, softmax(staged["logits"]))
-        assert set(caches) == set(staged) | {"tokens"}
+        assert set(caches) == set(staged)
         for key, value in staged.items():
             assert same_bits(caches[key], value), key
 
@@ -163,6 +163,18 @@ class TestPredict:
         none_mask = np.zeros_like(mask)
         preds = mdl.predict_classes(toy_cfg, toy_store, feats, tokens, choice_mask=none_mask)
         assert np.array_equal(preds, [-1, -1])
+
+    @pytest.mark.parametrize("variant", ["dppnet", "concat"])
+    def test_overflowing_logits_are_refused(self, variant):
+        # finite weights whose logits overflow: argmax over them would
+        # answer class 0 for every row
+        cfg = toy_model_config(variant=variant)
+        store = mdl.init_params(cfg, "f64", seed=15)
+        store["cls.w"] = np.full_like(store["cls.w"], 1e308)
+        store["bn.beta"] = np.full_like(store["bn.beta"], 2.0)  # every r_out entry well above 0
+        feats, tokens = toy_batch(cfg, np.random.default_rng(10), batch=3)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="logits"):
+            mdl.predict_classes(cfg, store, feats, tokens)
 
 
 class TestParameterAccounting:
@@ -583,14 +595,14 @@ class TestPredictDataset:
 def all_rows_reference(cfg, store, feats, tokens, targets):
     """loss_and_grads with the encoder run forward and backward on every row:
     enc.embed and enc.gru_encode here, and enc.gru_encode_backward inside
-    backward, since no row is marked shared."""
+    backward, since the identity record makes every row its own question."""
     from dppnet import encoder as enc
     from dppnet.tensor import softmax_xent
 
     x_seq = enc.embed(tokens, store["embed.table"])
     h_last, trace = enc.gru_encode(x_seq, enc.GruParams.from_store(store))
-    caches = mdl.head(cfg, store, feats, (h_last, trace, None), "train")
-    caches["tokens"] = tokens
+    question = (tokens, np.arange(len(tokens)), None)
+    caches = mdl.head(cfg, store, feats, (h_last, trace, question), "train")
     loss, dlogits = softmax_xent(caches["logits"], targets)
     return loss, caches, mdl.backward(cfg, store, caches, dlogits)
 
@@ -700,5 +712,5 @@ class TestSharedQuestions:
         feats, tokens, _ = self.batch(toy_cfg, [0], seed=36)
         monkeypatch.setattr(mdl, "_distinct", None)
         _, caches = mdl.forward(toy_cfg, toy_store, feats, tokens)
-        assert caches["shared"] is None
+        assert same_bits(caches["shared"], (tokens, np.arange(1), None))
         assert mdl.predict_classes(toy_cfg, toy_store, feats, tokens).shape == (1,)

@@ -275,6 +275,25 @@ class TestTrainLoop:
         acc = trainer.evaluate(res.run_config.model, res.store, data)
         assert 0.0 <= acc <= 1.0
 
+    def test_nonfinite_validation_logits_abort_with_checkpoint(self, tiny_sets, monkeypatch):
+        train_ex, val_ex, _ = tiny_sets
+        validated = []  # the parameters each validation pass saw
+        real = mdl.predict_dataset
+
+        def predict_dataset(cfg, store, data, choice_mask=None):
+            if len(validated) == 2:  # as predict_classes refuses non-finite logits
+                raise FloatingPointError("answer logits are not finite")
+            validated.append(store.copy_values())
+            return real(cfg, store, data, choice_mask)
+
+        monkeypatch.setattr(mdl, "predict_dataset", predict_dataset)
+        res = train(small_run_config(max_epochs=5, seed=8), train_ex, val_ex)
+        assert res.aborted
+        assert res.epochs_run == 3 and len(res.log) == 2
+        # the kept parameters are those of the best epoch that finished
+        best = validated[res.best_epoch - 1]
+        assert all(np.array_equal(res.store[name], value) for name, value in best.items())
+
     def test_pretrained_required_but_missing(self, tiny_sets):
         train_ex, val_ex, _ = tiny_sets
         rc = dataclasses.replace(small_run_config(max_epochs=1),
