@@ -383,10 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
     except (DppnetError, OSError, FloatingPointError) as e:
         # an OSError is a path that is missing or of the wrong kind (FileNotFound,
-        # IsADirectory, ...); a FloatingPointError is weights that overflow
+        # IsADirectory, ...); a FloatingPointError is weights that overflow, raised
+        # by numpy in place of a RuntimeWarning line (underflow stays silent)
         kind = type(e).__name__
         if isinstance(e, OSError):
             kind = kind.removesuffix("Error")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _check_types
+from .config import _AT_LEAST_1, _check_ranges, _check_types
 from .errors import ConfigError, DataFormatError
 from .jsonio import read_jsonl
 
@@ -259,6 +259,14 @@ class GenConfig:
 
     def __post_init__(self):
         _check_types(self)
+        _check_ranges(self, {
+            "slots": _AT_LEAST_1,
+            **dict.fromkeys(("n_train", "n_val", "n_test"), (lambda v: v >= 0, ">= 0")),
+            "noise": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+            "template_mix": (lambda v: all(0 <= w < math.inf for w in v), "finite weights >= 0"),
+            **dict.fromkeys(("shapes", "colors", "counts"), (
+                lambda v: 0 < len(v) == len(set(v)), "non-empty with distinct entries")),
+        })
         if self.slots > len(self.shapes):
             raise ConfigError(
                 f"{self.slots} slots need {self.slots} distinct shapes, "

@@ -8,11 +8,11 @@ produces bit-identical assignments.
 
 The dynamic layer reads both as one code per position, code = bucket +
 K * (sign < 0), in the smallest unsigned dtype that holds 2K - 1 (one byte up
-to K = 128).  The codes of a spec are hashed once and kept, read-only, while
-all cached specs fit CACHE_BYTES together (oldest evicted first): that is the
-persistent memory of hashing.  A spec too large for the budget is hashed
-block by block on every pass, its transient memory bounded by BLOCK_BUDGET
-like every other blocked loop.
+to K = 128).  The codes of the last spec that fits CACHE_BYTES are hashed once
+and kept, read-only: that is the persistent memory of hashing, and a new spec
+that fits replaces them.  A spec too large for the budget is hashed block by
+block on every pass, its transient memory bounded by BLOCK_BUDGET like every
+other blocked loop, and leaves the cached spec in place.
 """
 
 from __future__ import annotations
@@ -95,28 +95,22 @@ def sign(m: int, n: int, spec: HashSpec) -> int:
     return 1 if splitmix64(((m << 32) | n) ^ spec.seed_sign) & 1 == 0 else -1
 
 
-def _row_hashes(m: int, stop: int | None, seed: int, spec: HashSpec) -> np.ndarray:
-    spec._check(m, 0)
-    end = m + 1 if stop is None else stop
-    if not m < end <= spec.out_dim:
-        raise ConfigError(f"row range [{m}, {end}) outside {spec.out_dim} rows")
-    rows = np.arange(m, end, dtype=np.uint64)[:, None]
+def _row_hashes(m: int, stop: int, seed: int, spec: HashSpec) -> np.ndarray:
+    if not 0 <= m < stop <= spec.out_dim:
+        raise ConfigError(f"row range [{m}, {stop}) outside {spec.out_dim} rows")
+    rows = np.arange(m, stop, dtype=np.uint64)[:, None]
     cols = np.arange(spec.in_dim, dtype=np.uint64)
-    h = _splitmix64_vec(((rows << _U(32)) | cols) ^ _U(seed))
-    return h[0] if stop is None else h
+    return _splitmix64_vec(((rows << _U(32)) | cols) ^ _U(seed))
 
 
-def bucket_row(m: int, spec: HashSpec, stop: int | None = None) -> np.ndarray:
-    """Vector of candidate indices for all positions (m, 0..in_dim).
-
-    With ``stop``, the (stop - m, in_dim) block of rows m..stop-1 instead.
-    """
+def bucket_row(m: int, spec: HashSpec, stop: int) -> np.ndarray:
+    """The (stop - m, in_dim) block of candidate indices of rows m..stop-1."""
     h = _row_hashes(m, stop, spec.seed_bucket, spec)
     return (h % _U(spec.num_candidates)).astype(np.int64)
 
 
-def sign_row(m: int, spec: HashSpec, stop: int | None = None) -> np.ndarray:
-    """Vector of +1/-1 signs for all positions (m, 0..in_dim); ``stop`` as in bucket_row."""
+def sign_row(m: int, spec: HashSpec, stop: int) -> np.ndarray:
+    """The (stop - m, in_dim) block of +1/-1 int8 signs of rows m..stop-1."""
     h = _row_hashes(m, stop, spec.seed_sign, spec)
     return np.where(h & _U(1) == 0, 1, -1).astype(np.int8)
 
@@ -124,9 +118,9 @@ def sign_row(m: int, spec: HashSpec, stop: int | None = None) -> np.ndarray:
 # Entries (questions x output rows x in_dim) one block may touch: it bounds
 # the gathered weights and the uint64 hash temporaries of every blocked loop.
 BLOCK_BUDGET = 1 << 15
-# Bytes of codes and lookup tables that every cached spec shares; the oldest
-# spec is evicted first.  A spec that does not fit alone is hashed block by
-# block on every pass.
+# Bytes of codes and lookup tables the one cached spec may take; a new spec
+# that fits replaces it.  A spec that does not fit is hashed block by block on
+# every pass.
 CACHE_BYTES = 1 << 21
 _grid_cache: dict[HashSpec, SpecCodes] = {}
 
@@ -144,11 +138,6 @@ class SpecCodes:
     buckets: np.ndarray
     signs: np.ndarray
     grid: np.ndarray | None = None
-
-    @property
-    def nbytes(self) -> int:
-        grid = 0 if self.grid is None else self.grid.nbytes
-        return grid + self.buckets.nbytes + self.signs.nbytes
 
     def blocks(self, rows: int | None = None):
         """Yield (lo, hi, codes) over all output rows, in order.
@@ -178,7 +167,7 @@ class SpecCodes:
 
 
 def spec_codes(spec: HashSpec) -> SpecCodes:
-    """The codes of spec, hashed once and cached when they fit CACHE_BYTES."""
+    """The codes of spec, hashed once; kept while it is the last spec to fit CACHE_BYTES."""
     hit = _grid_cache.get(spec)
     if hit is not None:
         return hit
@@ -195,9 +184,7 @@ def spec_codes(spec: HashSpec) -> SpecCodes:
         grid[lo:hi] = block
     for array in (grid, buckets, signs):
         array.setflags(write=False)
-    used = sum(c.nbytes for c in _grid_cache.values())
-    while used + size > CACHE_BYTES:
-        used -= _grid_cache.pop(next(iter(_grid_cache))).nbytes
+    _grid_cache.clear()
     codes = _grid_cache[spec] = SpecCodes(spec, buckets, signs, grid)
     return codes
 

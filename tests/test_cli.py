@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +86,35 @@ class TestGen:
         )
         assert code == 0
         assert json.loads(out)["counts"] == {"train": 20, "val": 5, "test": 5}
+
+    @pytest.mark.parametrize("raw, named", [
+        ({"slots": 0}, "slots"),
+        ({"counts": []}, "counts"),
+        ({"template_mix": [1.5, -0.5, 0, 0]}, "template_mix"),
+        ({"template_mix": [float("nan"), 1, 0, 0]}, "template_mix"),
+        ({"shapes": ["a", "a"], "colors": ["r", "g"]}, "shapes"),
+        ({"colors": []}, "colors"),
+        ({"counts": [1, 1, 2]}, "counts"),
+        ({"noise": -1}, "noise"),
+        ({"noise": float("nan")}, "noise"),
+        ({"noise": float("inf")}, "noise"),
+        ({"n_train": -3}, "n_train"),
+        ({"n_val": -1}, "n_val"),
+        ({"n_test": -1}, "n_test"),
+    ], ids=["no slots", "no counts", "negative weight", "NaN weight", "repeated shape",
+            "no colors", "repeated count", "negative noise", "NaN noise", "infinite noise",
+            "negative n_train", "negative n_val", "negative n_test"])
+    def test_out_of_range_gen_config_is_refused(self, capsys, tmp_path, raw, named):
+        gc = tmp_path / "gen.json"
+        gc.write_text(json.dumps(raw))
+        out = tmp_path / "d"
+        code, stdout, err = run_cli(capsys, "gen", "--out", str(out), "--gen-config", str(gc))
+        assert (code, stdout) == (1, "")
+        line, = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ConfigError"
+        assert named in error["message"]
+        assert not out.exists()
 
     def test_failed_write_leaves_the_earlier_output(self, capsys, tmp_path, monkeypatch):
         import dppnet.cli
@@ -879,10 +911,12 @@ class TestCliContract:
         }[command]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-                np.errstate(all="ignore"):
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
         out, err = stdout.getvalue(), stderr.getvalue()
         assert code in (0, 1) and "Traceback" not in err
+        assert [str(w.message) for w in caught] == []  # no numpy warning leaves main
         if code == 1:
             assert out == ""
             (line,) = err.splitlines()
@@ -894,9 +928,27 @@ class TestCliContract:
             for doc in out.splitlines() if command.startswith("predict") else [out]:
                 json.loads(doc, parse_constant=refuse)
         # on these rows alternating class weights of +-1e308 overflow scores
-        # both ways; an argmax over them answered one class for every row
+        # both ways; an argmax over them answered one class for every row.
+        # The overflow itself is refused, before the logits check sees it
         if (command, name, len(value)) == ("eval", "cls.w", 2):
-            assert code == 1 and "logits" in err
+            assert code == 1 and "overflow encountered in matmul" in err
+
+    @pytest.mark.parametrize("name", ["gru.u_h", "embed.table"])
+    def test_overflow_is_one_stderr_line_in_a_real_process(self, valid, tmp_path, name):
+        # pytest captures numpy's RuntimeWarnings in process; a dppnet process
+        # would print them on stderr ahead of (or without) its error line
+        ckpt = self._edit_tensor(valid, tmp_path, name,
+                                 lambda flat: np.resize([1e308, -1e308], len(flat)))
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(valid["data"])
+        env = {**os.environ, "PYTHONPATH": str(Path(dppnet.encoder.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "dppnet.cli", "predict", "--checkpoint", str(ckpt),
+             "--data", str(data)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert (run.returncode, run.stdout) == (1, "")
+        (line,) = run.stderr.splitlines()
+        assert json.loads(line)["error"]["type"] == "FloatingPointError"
 
     @pytest.mark.parametrize("command", ["gen", "gradcheck"])
     def test_seed_flag_values_exit_cleanly(self, command, tmp_path):

@@ -406,9 +406,32 @@ def test_spec_cache_is_bounded(monkeypatch):
     x = np.ones((1, 1024))
     for spec in specs:
         dyn_forward(x, np.ones((1, spec.num_candidates)), np.zeros(256), spec)
-    assert sum(codes.nbytes for codes in hashing._grid_cache.values()) <= hashing.CACHE_BYTES
+    assert sum(code_bytes(codes.spec) for codes in hashing._grid_cache.values()) <= hashing.CACHE_BYTES
     assert specs[-1] in hashing._grid_cache
     assert specs[0] not in hashing._grid_cache
+
+
+def test_cache_keeps_only_the_last_spec_that_fits(monkeypatch):
+    # two specs that fit CACHE_BYTES together: the second replaces the first
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    first = HashSpec(out_dim=8, in_dim=16, num_candidates=4)
+    second = HashSpec(out_dim=8, in_dim=16, num_candidates=5)
+    assert code_bytes(first) + code_bytes(second) <= hashing.CACHE_BYTES
+    hashing.spec_codes(first)
+    codes = hashing.spec_codes(second)
+    assert list(hashing._grid_cache) == [second]
+    assert hashing._grid_cache[second] is codes
+
+
+def test_spec_above_cache_bytes_leaves_the_cached_spec(monkeypatch):
+    small = HashSpec(out_dim=8, in_dim=16, num_candidates=4)
+    large = HashSpec(out_dim=64, in_dim=64, num_candidates=4)
+    monkeypatch.setattr(hashing, "CACHE_BYTES", code_bytes(large) - 1)
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    cached = hashing.spec_codes(small)
+    assert hashing.spec_codes(large).grid is None
+    assert list(hashing._grid_cache) == [small]
+    assert hashing.spec_codes(small) is cached
 
 
 def test_eval_batch_transient_memory_stays_within_block_budget():
@@ -466,7 +489,7 @@ def test_wide_spec_is_hashed_once(monkeypatch):
     assert len(calls) == first
     codes = hashing._grid_cache[WIDE]
     assert codes.grid.dtype == np.uint8 and codes.grid.nbytes == 1 << 20
-    assert codes.nbytes <= hashing.CACHE_BYTES
+    assert code_bytes(codes.spec) <= hashing.CACHE_BYTES
 
 
 def sequential_dp(x, d_out, buckets, signs, k):

@@ -88,8 +88,8 @@ def test_sign_mean_binomial_bound():
 def test_rows_match_scalars():
     spec = HashSpec(out_dim=6, in_dim=33, num_candidates=5)
     for m in range(6):
-        brow = hashing.bucket_row(m, spec)
-        srow = hashing.sign_row(m, spec)
+        brow = hashing.bucket_row(m, spec, m + 1)[0]
+        srow = hashing.sign_row(m, spec, m + 1)[0]
         for n in range(33):
             assert brow[n] == hashing.bucket(m, n, spec)
             assert srow[n] == hashing.sign(m, n, spec)
@@ -124,11 +124,16 @@ def test_row_ranges_match_single_rows():
     block_b = hashing.bucket_row(2, spec, 6)
     block_s = hashing.sign_row(2, spec, 6)
     assert block_b.shape == block_s.shape == (4, 5)
-    assert np.array_equal(block_b, np.stack([hashing.bucket_row(m, spec) for m in range(2, 6)]))
-    assert np.array_equal(block_s, np.stack([hashing.sign_row(m, spec) for m in range(2, 6)]))
+    assert np.array_equal(block_b, np.stack([hashing.bucket_row(m, spec, m + 1)[0] for m in range(2, 6)]))
+    assert np.array_equal(block_s, np.stack([hashing.sign_row(m, spec, m + 1)[0] for m in range(2, 6)]))
     for stop in (2, 1, 8):
         with pytest.raises(ConfigError):
             hashing.bucket_row(2, spec, stop)
+    for m, stop in ((-1, 3), (7, 8)):
+        with pytest.raises(ConfigError):
+            hashing.sign_row(m, spec, stop)
+    with pytest.raises(TypeError):  # the row range is always given
+        hashing.bucket_row(2, spec)
 
 
 def test_cached_grids_cannot_be_mutated():
@@ -157,8 +162,8 @@ def test_block_paths_match_row_by_row_hashing(budget, monkeypatch):
     monkeypatch.setattr(hashing, "CACHE_BYTES", min(budget, hashing.CACHE_BYTES))
     monkeypatch.setattr(hashing, "_grid_cache", {})
     spec = HashSpec(out_dim=9, in_dim=4, num_candidates=6)
-    rows_b = np.stack([hashing.bucket_row(m, spec) for m in range(9)])
-    rows_s = np.stack([hashing.sign_row(m, spec) for m in range(9)])
+    rows_b = np.stack([hashing.bucket_row(m, spec, m + 1)[0] for m in range(9)])
+    rows_s = np.stack([hashing.sign_row(m, spec, m + 1)[0] for m in range(9)])
     assert np.array_equal(hashing.bucket_grid(spec), rows_b)
     assert np.array_equal(hashing.sign_grid(spec), rows_s)
     bounds = [(lo, hi) for lo, hi, _ in hashing.spec_codes(spec).blocks()]
@@ -200,7 +205,7 @@ def test_cached_grid_is_hashed_in_block_budget_chunks(monkeypatch):
     calls = []
     real = hashing.bucket_row
     monkeypatch.setattr(hashing, "bucket_row",
-                        lambda m, s, stop=None: calls.append((m, stop)) or real(m, s, stop))
+                        lambda m, s, stop: calls.append((m, stop)) or real(m, s, stop))
     codes = hashing.spec_codes(spec)
     assert codes.grid is not None
     assert calls == [(0, 32), (32, 64), (64, 96), (96, 100)]
