@@ -24,12 +24,15 @@ _TYPE_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
 }
+_TYPE_CHECKS.update({f"tuple[{name}, ...]": lambda v, entry=check: (
+    isinstance(v, tuple) and all(map(entry, v))) for name, check in list(_TYPE_CHECKS.items())})
 
 
 def _check_types(config) -> None:
     """Every field holds its annotated type: an int field takes no bool or
-    float, a float field takes an int, and `X | None` also takes None.
-    Fields of other types (nested configs) are checked by their own class."""
+    float, a float field takes an int, `X | None` also takes None, and
+    `tuple[X, ...]` takes a tuple of X entries alone.  Fields of other types
+    (nested configs) are checked by their own class."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind, _, alt = f.type.partition(" | ")

@@ -248,11 +248,11 @@ TEMPLATES = ("color", "shape", "count", "exists")
 @dataclass
 class GenConfig:
     slots: int = 2
-    shapes: tuple = DEFAULT_SHAPES
-    colors: tuple = DEFAULT_COLORS
-    counts: tuple = (1, 2, 3)
+    shapes: tuple[str, ...] = DEFAULT_SHAPES
+    colors: tuple[str, ...] = DEFAULT_COLORS
+    counts: tuple[int, ...] = (1, 2, 3)
     noise: float = 0.05
-    template_mix: tuple = (0.25, 0.25, 0.25, 0.25)
+    template_mix: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
     n_train: int = 4000
     n_val: int = 500
     n_test: int = 500

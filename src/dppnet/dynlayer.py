@@ -17,7 +17,9 @@ their int64 codes within half of hashing.BLOCK_BUDGET and a tile as many
 questions as keep the step's weights within it, so transient memory stays
 O(BLOCK_BUDGET + batch * (in + out + candidates)) however large the grid.
 Codes are read in row blocks of two steps, hashed afresh on every call when
-the spec does not fit hashing.CACHE_BYTES.
+the spec does not fit hashing.CACHE_BYTES.  Backward gathers weights only
+for the input gradient, so a call that asks for none (d_features=False)
+reads codes and signs alone.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ def _sums(carry, x, d, signs, keys, k: int):
     return np.bincount(keys[:n].ravel(), vals.ravel(), minlength=n * k).reshape(n, k)
 
 
-def dyn_backward(features, candidates, d_out, spec: HashSpec, *, questions=None):
+def dyn_backward(features, candidates, d_out, spec: HashSpec, *, questions=None,
+                 d_features=True):
     """Gradients of the hashed affine map: (d_features, d_candidates, d_bias).
 
     Every weight position feeding bucket k adds sign * input * delta, summed
@@ -148,7 +151,9 @@ def dyn_backward(features, candidates, d_out, spec: HashSpec, *, questions=None)
     of a tile, one bincount adds each question's terms in row-major (m, n)
     order after its sums carried from earlier steps: sequential accumulation
     over the grid, bit for bit.  With questions (as in dyn_forward),
-    d_candidates has one row per question.
+    d_candidates has one row per question.  With d_features false, as when
+    the layer's input feeds no tensor being trained, no weight is gathered and
+    d_features is None; d_candidates and d_bias keep their bits.
     """
     x = _as_batch(features, spec.in_dim, "input features")
     p = _as_batch(candidates, spec.num_candidates, "candidates")
@@ -158,11 +163,11 @@ def dyn_backward(features, candidates, d_out, spec: HashSpec, *, questions=None)
     k = spec.num_candidates
     codes = hashing.spec_codes(spec)
     width, tiles, steps = _plan(codes, questions, len(x), len(p))
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(x) if d_features else None
     dp = np.zeros(p.shape)
     for lo, step in steps:
         cols = slice(lo, lo + len(step))
-        for asked, runs in tiles:
+        for asked, runs in tiles if d_features else ():  # the weights serve dx alone
             w = codes.signed_table(p[asked]).take(step, axis=1)
             for part, c, rows, _ in runs:
                 dy = d[rows, cols]

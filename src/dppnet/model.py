@@ -230,7 +230,18 @@ def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
 
 
 def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
-    """Gradients of the loss w.r.t. every trainable parameter."""
+    """Gradients of the loss w.r.t. the parameters a step updates,
+    store.updatable_names(), each with the bits it has when nothing is frozen.
+
+    A branch none of whose tensors is updatable is not run: with the adapter
+    frozen, the dynamic layer's input gradient (the concat mixer's adapter
+    slice) and the adapter's backward; with the embedding and GRU frozen, the
+    GRU's backward through time and the embedding scatter.
+    """
+    live = set(store.updatable_names())
+    branches = {name.split(".")[0] for name in live}
+    adapter = ADAPTER_PREFIX in branches
+    encoder = not branches.isdisjoint(ENCODER_PREFIXES)
     grads: dict[str, np.ndarray] = {}
     r_out = caches["r_out"]
     grads["cls.w"] = matmul(dlogits.T, r_out)
@@ -247,32 +258,36 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
         dz1 = activation_backward("relu", z1, matmul(d_pre, store["mix.w2"]))
         grads["mix.w1"] = matmul(dz1.T, joint)
         grads["mix.b1"] = dz1.sum(axis=0)
-        d_joint = matmul(dz1, store["mix.w1"])
-        n = cfg.adapter_out
-        # rows asking one question share its encoding, so their gradients
-        # add up, in batch-row order, into that question's row
-        d_fin, dh_last = d_joint[:, :n], enc.embed_backward(inverse, d_joint[:, n:], len(tokens))
+        w1, n = store["mix.w1"], cfg.adapter_out
+        if adapter:
+            d_fin = matmul(dz1, w1[:, :n])
+        if encoder:
+            # rows asking one question share its encoding, so their gradients
+            # add up, in batch-row order, into that question's row
+            dh_last = enc.embed_backward(inverse, matmul(dz1, w1[:, n:]), len(tokens))
     else:
         # d_candidates arrive summed per question
         d_fin, d_cand, grads["dyn.b"] = dyn_backward(
             caches["f_in"], caches["question_candidates"], d_pre, cfg.hash_spec(),
-            questions=groups,
+            questions=groups, d_features=adapter,
         )
         dh_last, grads["proj.w"] = enc.predict_candidates_backward(
             caches["h_last"], store["proj.w"], d_cand
         )
 
-    gru_params = enc.GruParams.from_store(store)
-    dx_seq, gru_grads = enc.gru_encode_backward(caches["gru"], gru_params, dh_last)
-    for k, v in gru_grads.items():
-        grads[f"gru.{k}"] = v
-    grads["embed.table"] = enc.embed_backward(tokens, dx_seq, store["embed.table"].shape[0])
-    _adapter_backward(store, caches["features"], caches["h1"], caches["f_in"], d_fin, grads)
-    return grads
+    if encoder:
+        gru_params = enc.GruParams.from_store(store)
+        dx_seq, gru_grads = enc.gru_encode_backward(caches["gru"], gru_params, dh_last)
+        for k, v in gru_grads.items():
+            grads[f"gru.{k}"] = v
+        grads["embed.table"] = enc.embed_backward(tokens, dx_seq, store["embed.table"].shape[0])
+    if adapter:
+        _adapter_backward(store, caches["features"], caches["h1"], caches["f_in"], d_fin, grads)
+    return {name: g for name, g in grads.items() if name in live}
 
 
 def loss_and_grads(cfg: ModelConfig, store: ParamStore, features, tokens, targets, mode="train"):
-    """Mean cross-entropy and all parameter gradients; returns (loss, caches, grads)."""
+    """Mean cross-entropy and backward's gradients; returns (loss, caches, grads)."""
     _, caches = forward(cfg, store, features, tokens, mode)
     loss, dlogits = softmax_xent(caches["logits"], targets)
     grads = backward(cfg, store, caches, dlogits)

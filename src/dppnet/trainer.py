@@ -29,6 +29,9 @@ def clip_gradients(grads: dict, threshold: float):
     """Scale all gradients so the global L2 norm is at most threshold.
 
     Returns (grads, pre-clip norm); scaling happens only above the threshold.
+    The training loop passes model.backward's gradients, those of the tensors
+    the step updates, so a frozen tensor counts in neither the norm nor the
+    clipping (Pascanu et al., arXiv:1211.5063, rescale the applied update).
     """
     if threshold <= 0:
         raise ConfigError("clip threshold must be > 0")

@@ -101,9 +101,24 @@ class TestGen:
         ({"n_train": -3}, "n_train"),
         ({"n_val": -1}, "n_val"),
         ({"n_test": -1}, "n_test"),
+        # a string is no tuple, though it holds distinct one-letter entries
+        ({"shapes": "wxyz"}, "shapes"),
+        ({"colors": "rgbk"}, "colors"),
+        ({"counts": "123"}, "counts"),
+        ({"template_mix": 1}, "template_mix"),
+        ({"shapes": ["a", "b", 3, "d"]}, "shapes"),
+        ({"colors": ["r", "g", None]}, "colors"),
+        ({"counts": [1, "2", 3]}, "counts"),
+        ({"counts": [1.0, 2, 3]}, "counts"),
+        ({"counts": [True, 2, 3]}, "counts"),
+        ({"template_mix": [0.5, "0.25", 0.25, 0]}, "template_mix"),
+        ({"template_mix": [True, 0, 0, 0]}, "template_mix"),
     ], ids=["no slots", "no counts", "negative weight", "NaN weight", "repeated shape",
             "no colors", "repeated count", "negative noise", "NaN noise", "infinite noise",
-            "negative n_train", "negative n_val", "negative n_test"])
+            "negative n_train", "negative n_val", "negative n_test",
+            "string shapes", "string colors", "string counts", "number template_mix",
+            "int shape", "null color", "string count", "float count", "bool count",
+            "string weight", "bool weight"])
     def test_out_of_range_gen_config_is_refused(self, capsys, tmp_path, raw, named):
         gc = tmp_path / "gen.json"
         gc.write_text(json.dumps(raw))

@@ -567,9 +567,7 @@ def grouped_instance(spec, dtype, seed, batch=32, asked=9):
 DEFAULT = HashSpec(out_dim=32, in_dim=64, num_candidates=512)
 
 
-@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
-                         ids=["f64", "f32"])
-@pytest.mark.parametrize("spec, cache_bytes, batch, asked", [
+GROUPED_CASES = pytest.mark.parametrize("spec, cache_bytes, batch, asked", [
     (DEFAULT, hashing.CACHE_BYTES, 32, 9),
     (HashSpec(out_dim=300, in_dim=200, num_candidates=50), 0, 32, 9),
     # near-distinct and heavily repeated batches, and a batch of one
@@ -577,6 +575,11 @@ DEFAULT = HashSpec(out_dim=32, in_dim=64, num_candidates=512)
     (DEFAULT, hashing.CACHE_BYTES, 256, 28), (DEFAULT, hashing.CACHE_BYTES, 1, 1),
 ], ids=["cached", "streamed", "cached-32-rows-31-questions", "cached-256-rows-255-questions",
         "cached-256-rows-28-questions", "cached-one-row"])
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["f64", "f32"])
+@GROUPED_CASES
 def test_grouped_rows_match_the_per_row_layer(spec, cache_bytes, batch, asked, dtype, tol,
                                               monkeypatch):
     monkeypatch.setattr(hashing, "CACHE_BYTES", cache_bytes)
@@ -601,10 +604,31 @@ def test_grouped_rows_match_the_per_row_layer(spec, cache_bytes, batch, asked, d
     assert (spec in hashing._grid_cache) == (cache_bytes > 0)
 
 
-@pytest.mark.parametrize("spec, batch, asked", [
-    (DEFAULT, 256, 28), (WIDE, 32, 8), (DEFAULT, 256, 255),
-], ids=["eval-batch", "wide", "eval-batch-255-questions"])
-def test_grouped_transient_memory_stays_within_block_budget(spec, batch, asked):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@GROUPED_CASES
+def test_no_input_gradient_keeps_the_candidate_and_bias_bits(spec, cache_bytes, batch, asked,
+                                                             dtype, monkeypatch):
+    monkeypatch.setattr(hashing, "CACHE_BYTES", cache_bytes)
+    monkeypatch.setattr(hashing, "_grid_cache", {})
+    x, p, questions, _, d = grouped_instance(spec, dtype, 19, batch, asked)
+    calls = [(p, questions), (p[questions], None)]  # grouped, then each row its own question
+    wants = [dyn_backward(x, p, d, spec, questions=questions) for p, questions in calls]
+    # no weight is gathered when no input gradient is asked for
+    monkeypatch.setattr(hashing.SpecCodes, "signed_table", None)
+    for (p, questions), (_, want_dp, want_db) in zip(calls, wants):
+        dx, dp, db = dyn_backward(x, p, d, spec, questions=questions, d_features=False)
+        assert dx is None
+        assert dp.dtype == want_dp.dtype and dp.tobytes() == want_dp.tobytes()
+        assert db.dtype == want_db.dtype and db.tobytes() == want_db.tobytes()
+
+
+@pytest.mark.parametrize("spec, batch, asked, d_features", [
+    (DEFAULT, 256, 28, True), (WIDE, 32, 8, True), (DEFAULT, 256, 255, True),
+    (DEFAULT, 256, 28, False), (WIDE, 32, 8, False), (DEFAULT, 256, 255, False),
+], ids=["eval-batch", "wide", "eval-batch-255-questions",
+        "eval-batch-no-input-gradient", "wide-no-input-gradient",
+        "eval-batch-255-questions-no-input-gradient"])
+def test_grouped_transient_memory_stays_within_block_budget(spec, batch, asked, d_features):
     # the bounds of the per-row eval-batch test: one gathered block on top of
     # the output in forward, under three blocks on top of the gradients in backward
     rng = np.random.default_rng(18)
@@ -622,7 +646,7 @@ def test_grouped_transient_memory_stays_within_block_budget(spec, batch, asked):
     assert peak - out.nbytes < 2 * block_bytes
 
     tracemalloc.start()
-    grads = dyn_backward(x, p, d, spec, questions=questions)
+    grads = dyn_backward(x, p, d, spec, questions=questions, d_features=d_features)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak - sum(g.nbytes for g in grads) < 3 * block_bytes
+    assert peak - sum(g.nbytes for g in grads if g is not None) < 3 * block_bytes

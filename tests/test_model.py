@@ -714,3 +714,44 @@ class TestSharedQuestions:
         _, caches = mdl.forward(toy_cfg, toy_store, feats, tokens)
         assert same_bits(caches["shared"], (tokens, np.arange(1), None))
         assert mdl.predict_classes(toy_cfg, toy_store, feats, tokens).shape == (1,)
+
+
+class TestFrozenBranches:
+    """backward returns the gradients of the updatable tensors alone, each
+    with the bits the all-live backward gives it from the same caches, and
+    runs no branch whose tensors are all frozen."""
+
+    @pytest.mark.parametrize("frozen", [
+        ("adapter",), ("embed", "gru"), ("adapter", "embed", "gru"),
+    ], ids=["adapter", "encoder", "adapter-and-encoder"])
+    @pytest.mark.parametrize("variant", ["dppnet", "concat"])
+    def test_only_updatable_tensors_get_gradients(self, variant, frozen, monkeypatch):
+        from dppnet import encoder as enc
+        from dppnet.tensor import softmax_xent
+
+        cfg = toy_model_config(variant=variant)
+        store = mdl.init_params(cfg, "f64", seed=38)
+        feats, tokens, targets = TestSharedQuestions.batch(cfg, [0, 1, 0, 2, 1, 0], seed=39)
+        _, caches = mdl.forward(cfg, store, feats, tokens, "train")
+        _, dlogits = softmax_xent(caches["logits"], targets)
+        want = mdl.backward(cfg, store, caches, dlogits)
+        assert set(want) == {n for n in store.names() if store.is_trainable(n)}
+
+        calls = []
+        for module, name in ((enc, "gru_encode_backward"), (enc, "embed_backward"),
+                             (mdl, "_adapter_backward"), (mdl, "dyn_backward")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **kw: (
+                calls.append((_name, kw.get("d_features"))) or _real(*a, **kw)))
+        for prefix in frozen:
+            store.freeze(prefix)
+        got = mdl.backward(cfg, store, caches, dlogits)
+        assert set(got) == set(store.updatable_names())
+        for name, g in got.items():
+            assert same_bits(g, want[name]), name
+        ran = {name for name, _ in calls}
+        assert ("_adapter_backward" in ran) == ("adapter" not in frozen)
+        assert ("gru_encode_backward" in ran) == ("gru" not in frozen)
+        assert ("embed_backward" in ran) == ("embed" not in frozen)
+        if variant == "dppnet":
+            assert ("dyn_backward", "adapter" not in frozen) in calls

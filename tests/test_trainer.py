@@ -233,7 +233,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(trainer, "clip_gradients", spy)
         # a threshold inside the norms' range, so some steps clip and some do not
-        rc = small_run_config(max_epochs=3, seed=7, clip_threshold=2.0)
+        rc = small_run_config(max_epochs=3, seed=7, clip_threshold=1.5)
         res = train(rc, train_ex, val_ex, progress=lambda entry: epoch_ends.append(len(norms)))
         assert len(res.log) == 3
         fractions = []
@@ -241,9 +241,27 @@ class TestTrainLoop:
             epoch = norms[lo:hi]
             assert entry["grad_norm_mean"] == pytest.approx(sum(epoch) / len(epoch), rel=1e-12)
             assert entry["grad_norm_max"] == max(epoch)
-            fractions.append(sum(n > 2.0 for n in epoch) / len(epoch))
+            fractions.append(sum(n > 1.5 for n in epoch) / len(epoch))
             assert entry["clipped_fraction"] == fractions[-1]
         assert any(0 < f < 1 for f in fractions)
+
+    def test_clipping_sees_only_the_updated_tensors(self, tiny_sets, monkeypatch):
+        train_ex, val_ex, _ = tiny_sets
+        seen, epoch_ends = [], []  # the gradient names of each step
+        real = trainer.clip_gradients
+        monkeypatch.setattr(trainer, "clip_gradients", lambda grads, threshold: (
+            seen.append(set(grads)) or real(grads, threshold)))
+        # the adapter unfreezes after epoch 1 and the encoder freezes after epoch 2
+        rc = small_run_config(max_epochs=3, seed=16, unfreeze_patience=0,
+                              overfit_gap=-1.0, overfit_epochs=2)
+        res = train(rc, train_ex, val_ex, progress=lambda entry: epoch_ends.append(len(seen)))
+        frozen = [set(entry["frozen"]) for entry in res.log]  # as each epoch's steps saw it
+        assert ["adapter.w1" in names for names in frozen] == [True, False, False]
+        assert ["gru.u_h" in names for names in frozen] == [False, False, True]
+        trainable = {n for n in res.store.names() if res.store.is_trainable(n)}
+        for names, lo, hi in zip(frozen, [0] + epoch_ends, epoch_ends):
+            assert hi > lo
+            assert all(step == trainable - names for step in seen[lo:hi])
 
     def test_memorizes_sixteen_examples(self):
         gen = GenConfig(n_train=16, n_val=16, n_test=0)
