@@ -53,14 +53,17 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 
 def _spread(loss_fn, store: ParamStore, w: np.ndarray, idx, h: float) -> float:
-    """loss(w + h) - loss(w - h), moving only entry idx of w."""
+    """loss(w + h) - loss(w - h), moving only entry idx of w; NaN where the loss raises."""
     orig = w[idx]
-    w[idx] = orig + h
-    up = loss_fn(store)
-    w[idx] = orig - h
-    down = loss_fn(store)
-    w[idx] = orig
-    return up - down
+    try:
+        w[idx] = orig + h
+        up = loss_fn(store)
+        w[idx] = orig - h
+        return up - loss_fn(store)
+    except FloatingPointError:
+        return math.nan
+    finally:
+        w[idx] = orig
 
 
 def grad_check(
@@ -74,7 +77,8 @@ def grad_check(
     """Check grads, loss_fn's analytic gradients at store, against central differences.
 
     Requires 64-bit parameters; finite differences are unreliable at 32 bits.
-    A non-finite loss is reported as a failing tensor, never raised.
+    A non-finite or FloatingPointError-raising loss is reported as a failing
+    tensor, never raised.
     """
     if store.precision != "f64":
         raise ConfigError("grad_check requires f64 precision")

@@ -333,6 +333,21 @@ class TestDiagnostics:
         assert any(m["module"] == "model.dppnet" for m in report["modules"])
         assert "PASS" in err
 
+    def test_gradcheck_in_a_real_process_prints_one_report(self):
+        # the suite may fork: a child that flushed this process's buffers or a
+        # fork warning would show on stdout or stderr, buffered as a user runs it
+        from dppnet.oracles import run_oracle_suite
+
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(dppnet.encoder.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-m", "dppnet.cli", "gradcheck", "--seed", "0"],
+                             capture_output=True, text=True, env=env, timeout=300)
+        report = run_oracle_suite(0)
+        assert (run.returncode, json.loads(run.stdout)) == (0, report)
+        assert run.stdout == json.dumps(report, indent=1) + "\n"
+        assert run.stderr.splitlines() == [
+            f"PASS {m['module']}: {m['max_rel_err']:.2e}" for m in report["modules"]]
+
     def test_hash_stats_json(self, capsys):
         code, out, _ = run_cli(capsys, "hash-stats", "--m", "16", "--n", "16", "--k", "8")
         assert code == 0

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +291,110 @@ def test_full_model_oracle_encodes_only_moved_questions(monkeypatch, variant):
     assert report.passed
     assert 0 < sum(moved) < len(moved)
     assert len(encodes) <= sum(moved) + 1
+
+
+def test_loss_raising_at_a_stencil_point_fails_that_tensor():
+    # an overflow raised once w[1] > 2 used to escape grad_check and leave
+    # w[1] at 2.00001 in the caller's store
+    def loss_fn(s):
+        if s["w"][1] > 2.0:
+            raise FloatingPointError("overflow encountered in exp")
+        return quadratic(s)
+
+    store = ParamStore()
+    store.add("w", np.array([1.0, 2.0, 3.0]))
+    store.add("b", np.ones(2))
+    report = grad_check(loss_fn, store, {"w": store["w"].copy(), "b": np.zeros(2)})
+    assert np.array_equal(store["w"], [1.0, 2.0, 3.0])
+    w, b = report.tensors
+    assert (w.name, w.passed, w.max_rel_err, w.note) == (
+        "w", False, math.inf, "non-finite loss at w[1]")
+    assert b.passed
+
+
+def _suite_on_two_cpus(monkeypatch, seed):
+    # the suite as run on a two-CPU host, whatever this one has; returns
+    # (report, forks)
+    from dppnet import oracles
+
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        m.setattr(os, "fork", counted)
+        report = oracles.run_oracle_suite(seed)
+    return report, len(forks)
+
+
+@pytest.mark.parametrize("seed", [0, 31, 76, 203, 210])
+def test_oracle_suite_on_two_cpus_gives_the_in_order_report(monkeypatch, seed):
+    from dppnet import oracles
+
+    def refuse():
+        raise AssertionError("the one-CPU suite forked")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        m.setattr(os, "fork", refuse)
+        in_order = oracles.run_oracle_suite(seed)
+    two, forks = _suite_on_two_cpus(monkeypatch, seed)
+    assert forks == 1
+    assert two == in_order
+    assert [m["module"] for m in two["modules"]][-2:] == ["model.dppnet", "model.concat"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_oracle_suite_leaves_no_child(monkeypatch):
+    report, forks = _suite_on_two_cpus(monkeypatch, 0)
+    assert report["passed"] and forks == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_a_failed_sweep_raises_here_and_leaves_no_child(monkeypatch, side):
+    # the child checks model.dppnet while this process checks model.concat,
+    # the one store with mix.* tensors; a child still sweeping when this
+    # process fails is killed, not waited for
+    from dppnet import oracles
+
+    pid = os.getpid()
+    check = oracles.grad_check
+
+    def failing(loss_fn, store, grads, **kwargs):
+        in_child = os.getpid() != pid
+        if side == "child" and in_child or side == "parent" and "mix.w1" in store.names():
+            raise RuntimeError(f"sweep failed in the {side}")
+        if in_child:
+            time.sleep(60)
+        return check(loss_fn, store, grads, **kwargs)
+
+    monkeypatch.setattr(oracles, "grad_check", failing)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=f"^sweep failed in the {side}$"):
+        _suite_on_two_cpus(monkeypatch, 0)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_forked_sweep_never_flushes_this_process_buffers():
+    # stdout into a pipe is block-buffered: a child that flushed it on its way
+    # out would print the pending text a second time
+    import dppnet
+
+    code = ("import os, sys; from dppnet import oracles; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; sys.stdout.write('pending'); "
+            "oracles.run_oracle_suite(0)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(dppnet.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "pending", "")
