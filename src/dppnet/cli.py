@@ -49,15 +49,6 @@ def _resolve_data(path: str) -> Path:
     return p
 
 
-def _run_config(args) -> RunConfig:
-    rc = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    return rc.with_overrides(
-        seed=getattr(args, "seed", None),
-        precision=getattr(args, "precision", None),
-        variant=getattr(args, "variant", None),
-    )
-
-
 def _gen_config(raw) -> GenConfig:
     if not isinstance(raw, dict):
         raise ConfigError("gen config must be a JSON object")
@@ -102,24 +93,23 @@ def cmd_gen(args) -> int:
     return 0
 
 
-SCHEDULE_FLAGS = (
-    ("lr", float), ("batch_size", int), ("max_epochs", int), ("patience", int),
-    ("clip_threshold", float), ("unfreeze_patience", int),
-    ("overfit_gap", float), ("overfit_epochs", int),
+# train's options besides --config, --data and --out: each overrides the
+# RunConfig field of its name (RunConfig.with_overrides)
+TRAIN_FLAGS = (
+    ("seed", {"type": int, "help": "seed override"}),
+    ("precision", {"choices": PRECISIONS}),
+    ("variant", {"choices": VARIANTS}),
+    ("pretrained_encoder", {"help": "encoder checkpoint directory"}),
+    ("lr", {"type": float}), ("batch_size", {"type": int}), ("max_epochs", {"type": int}),
+    ("patience", {"type": int}), ("clip_threshold", {"type": float}),
+    ("unfreeze_patience", {"type": int}), ("overfit_gap", {"type": float}),
+    ("overfit_epochs", {"type": int}),
 )
 
 
 def cmd_train(args) -> int:
-    rc = _run_config(args)
-    overrides = {
-        name: getattr(args, name)
-        for name, _ in SCHEDULE_FLAGS
-        if getattr(args, name) is not None
-    }
-    if overrides:
-        rc = dataclasses.replace(rc, train=dataclasses.replace(rc.train, **overrides))
-    if args.pretrained_encoder:
-        rc = dataclasses.replace(rc, pretrained_encoder=args.pretrained_encoder)
+    rc = RunConfig.from_file(args.config) if args.config else RunConfig()
+    rc = rc.with_overrides(**{name: getattr(args, name) for name, _ in TRAIN_FLAGS})
     data_dir = _resolve_data(args.data)
     train_ex = load_jsonl(data_dir / "train.jsonl")
     val_ex = load_jsonl(data_dir / "val.jsonl")
@@ -308,13 +298,6 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="run config JSON file")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
-    p.add_argument("--precision", choices=PRECISIONS, default=None)
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The dppnet parser, built once per process; every caller shares it."""
@@ -331,12 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a model on train.jsonl/val.jsonl")
-    _add_common(p)
+    p.add_argument("--config", help="run config JSON file")
     p.add_argument("--data", required=True, help="directory with train.jsonl and val.jsonl")
     p.add_argument("--out", required=True, help="checkpoint output directory")
-    p.add_argument("--pretrained-encoder", help="encoder checkpoint directory")
-    for name, cast in SCHEDULE_FLAGS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=cast, default=None)
+    for name, options in TRAIN_FLAGS:
+        p.add_argument(f"--{name.replace('_', '-')}", **options)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or a predictions file")
@@ -385,11 +367,11 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.fn(args)
-    except (DppnetError, OSError, FloatingPointError) as e:
-        # an OSError is a path that is missing or of the wrong kind (FileNotFound,
-        # IsADirectory, ...); a FloatingPointError is weights that overflow, raised
-        # by numpy in place of a RuntimeWarning line (underflow stays silent)
-        kind = type(e).__name__
+    except (DppnetError, OSError, FloatingPointError, MemoryError) as e:
+        # an OSError is a path that is missing or of the wrong kind (FileNotFound, ...);
+        # a FloatingPointError is weights that overflow, raised by numpy in place of a
+        # RuntimeWarning (underflow stays silent); a MemoryError is a size too large
+        kind = "MemoryError" if isinstance(e, MemoryError) else type(e).__name__
         if isinstance(e, OSError):
             kind = kind.removesuffix("Error")
         json.dump({"error": {"type": kind, "message": str(e)}}, sys.stderr)

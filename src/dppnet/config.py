@@ -145,15 +145,14 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainSchedule = field(default_factory=TrainSchedule)
     precision: str = "f64"
-    pretrained_encoder: str | None = None
-    pretrained_policy: str = "optional"  # none | optional | required
+    pretrained_encoder: str | None = None  # checkpoint directory; None: a random encoder
 
     def __post_init__(self):
         _check_types(self)
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}")
-        if self.pretrained_policy not in ("none", "optional", "required"):
-            raise ConfigError("pretrained_policy must be none, optional or required")
+        if self.pretrained_encoder == "":
+            raise ConfigError("pretrained_encoder must be a directory or null, got ''")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -162,7 +161,10 @@ class RunConfig:
         data = dict(data)
         model = ModelConfig(**data.pop("model", {}))
         train = TrainSchedule(**data.pop("train", {}))
-        unknown = set(data) - {"precision", "pretrained_encoder", "pretrained_policy"}
+        # configs saved before the encoder path alone decided: "none" skipped it
+        if data.pop("pretrained_policy", None) == "none":
+            data["pretrained_encoder"] = None
+        unknown = set(data) - {"precision", "pretrained_encoder"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(model=model, train=train, **data)
@@ -177,12 +179,13 @@ class RunConfig:
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=1))
 
-    def with_overrides(self, *, seed=None, precision=None, variant=None) -> "RunConfig":
-        out = self
-        if seed is not None:
-            out = replace(out, train=replace(out.train, seed=seed))
-        if precision is not None:
-            out = replace(out, precision=precision)
-        if variant is not None:
-            out = replace(out, model=replace(out.model, variant=variant))
-        return out
+    def with_overrides(self, **values) -> "RunConfig":
+        """A copy with each value that is not None set on the field of its name,
+        in the section that declares it: the run itself, model or train."""
+        values = {name: v for name, v in values.items() if v is not None}
+        sections = {}
+        for section in ("model", "train"):
+            part = getattr(self, section)
+            names = values.keys() & {f.name for f in fields(part)}
+            sections[section] = replace(part, **{name: values.pop(name) for name in names})
+        return replace(self, **sections, **values)

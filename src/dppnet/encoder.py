@@ -25,7 +25,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import Vocabulary
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ShapeError
 from .jsonio import read_json
 from .tensor import ParamStore, activation, matmul
 
@@ -74,9 +74,9 @@ class GruParams:
         return self.b_r is not None
 
     @classmethod
-    def from_store(cls, store: ParamStore, prefix: str = "gru") -> "GruParams":
-        get = lambda k: store[f"{prefix}.{k}"]
-        bias = f"{prefix}.b_r" in store
+    def from_store(cls, store: ParamStore) -> "GruParams":
+        get = lambda k: store[f"gru.{k}"]
+        bias = "gru.b_r" in store
         return cls(
             w_r=get("w_r"), w_z=get("w_z"), w_h=get("w_h"),
             u_r=get("u_r"), u_z=get("u_z"), u_h=get("u_h"),
@@ -238,30 +238,21 @@ def predict_candidates_backward(h_last: np.ndarray, w_proj: np.ndarray, d_candid
 ENCODER_PARAM_NAMES = ("embed.table", "gru.w_r", "gru.w_z", "gru.w_h", "gru.u_r", "gru.u_z", "gru.u_h")
 
 
-def load_pretrained(directory, required: bool = False):
+def load_pretrained(directory):
     """Import embedding + GRU weights from a params checkpoint directory.
 
-    Returns (embedding table, GruParams, Vocabulary or None), or None when no
-    directory is given or it holds no checkpoint and the encoder is optional;
-    a required one must be there.  A checkpoint that is there is always
-    validated: dimensions are adopted from the file, internal inconsistencies
-    are rejected with specifics.
+    Returns (embedding table, GruParams, Vocabulary or None).  A directory
+    that holds no checkpoint is a CheckpointError naming it; dimensions are
+    adopted from the file, internal inconsistencies are rejected with
+    specifics.
     """
-    if directory is None:
-        if required:
-            raise ConfigError("pretrained_policy is 'required' but no encoder path given")
-        return None
     directory = Path(directory)
-    if not (directory / checkpoint.MANIFEST_NAME).exists():
-        if required:
-            raise CheckpointError(f"pretrained encoder required but not found at {directory}")
-        return None
     store = checkpoint.load_params(directory)
     missing = [n for n in ENCODER_PARAM_NAMES if n not in store]
     if missing:
         raise CheckpointError(f"encoder checkpoint {directory} missing tensors: {missing}")
     table = store["embed.table"]
-    params = GruParams.from_store(store, "gru")
+    params = GruParams.from_store(store)
     if params.input_dim != table.shape[1]:
         raise CheckpointError(
             f"encoder checkpoint inconsistent: embedding dim {table.shape[1]} "

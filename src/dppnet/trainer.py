@@ -93,10 +93,11 @@ class EpochDecision:
 class ScheduleController:
     """Pure early-stop / unfreeze / overfit-freeze rule, fed one epoch at a time.
 
-    Staleness counts epochs since the best validation accuracy; the adapter
-    unfreezes once staleness reaches unfreeze_patience (staged policy only),
-    the encoder freezes for good after overfit_epochs consecutive epochs with
-    train - val accuracy above overfit_gap, and training stops at patience.
+    Staleness counts epochs since the best validation accuracy, or since the
+    adapter unfroze if later.  The adapter unfreezes once staleness reaches
+    unfreeze_patience (staged policy only), the encoder freezes for good after
+    overfit_epochs consecutive epochs with train - val accuracy above
+    overfit_gap, and training stops at patience.
     """
 
     def __init__(self, schedule: TrainSchedule, adapter_policy: str = "staged"):
@@ -126,6 +127,7 @@ class ScheduleController:
         )
         if unfreeze:
             self.adapter_frozen = False
+            self.stale = 0
         if train_acc - val_acc > self.schedule.overfit_gap:
             self.overfit_run += 1
         else:
@@ -230,10 +232,8 @@ def train(run_config: RunConfig, train_examples, val_examples,
     precision = run_config.precision
 
     table = gru = vocab = None
-    if cfg.variant != "rand-gru" and run_config.pretrained_policy != "none":
-        table, gru, vocab = load_pretrained(
-            run_config.pretrained_encoder, required=run_config.pretrained_policy == "required"
-        ) or (None, None, None)
+    if cfg.variant != "rand-gru" and run_config.pretrained_encoder is not None:
+        table, gru, vocab = load_pretrained(run_config.pretrained_encoder)
 
     if vocab is not None:
         answers = AnswerSpace.from_examples(train_examples)

@@ -437,6 +437,92 @@ class TestErrorSurface:
         assert code == 0
         assert json.loads(out)["examples"] == 80
 
+    @pytest.mark.parametrize("where, kind", [
+        ("absent", "CheckpointError"), ("empty", "CheckpointError"), ("", "ConfigError"),
+    ])
+    def test_missing_pretrained_encoder_is_refused(self, capsys, tiny_data_dir, tmp_path,
+                                                   where, kind):
+        # a given encoder is always loaded: no silent fall-back to a random one
+        (tmp_path / "empty").mkdir()  # a directory without a checkpoint manifest
+        path = str(tmp_path / where) if where else ""
+        out = tmp_path / "model"
+        code, stdout, err = run_cli(capsys, "train", "--data", str(tiny_data_dir),
+                                    "--out", str(out), "--max-epochs", "1",
+                                    "--pretrained-encoder", path)
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == kind
+        assert (path or "pretrained_encoder") in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy, code", [("none", 0), ("optional", 1), ("required", 1)])
+    def test_legacy_pretrained_policy_in_a_config(self, capsys, tiny_data_dir, tmp_path,
+                                                  policy, code):
+        # configs written before the path alone decided hold pretrained_policy;
+        # "none" still trains without the encoder, any other value is dropped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"adapter_hidden": 16, "adapter_out": 12, "dyn_out": 8,
+                      "num_candidates": 32, "hidden_dim": 12, "embed_dim": 8},
+            "train": {"max_epochs": 1},
+            "pretrained_encoder": str(tmp_path / "absent"), "pretrained_policy": policy,
+        }))
+        out = tmp_path / "model"
+        got, _, err = run_cli(capsys, "train", "--data", str(tiny_data_dir),
+                              "--out", str(out), "--config", str(cfg))
+        assert got == code
+        if code:
+            assert json.loads(err.splitlines()[-1])["error"]["type"] == "CheckpointError"
+            assert not out.exists()
+        else:
+            saved = json.loads((out / "config.json").read_text())
+            assert saved["pretrained_encoder"] is None and "pretrained_policy" not in saved
+
+    def test_checkpoint_with_a_legacy_policy_loads(self, capsys, tmp_path, tiny_data_dir,
+                                                   tiny_checkpoint):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(tiny_checkpoint, ckpt)
+        config = json.loads((ckpt / "config.json").read_text())
+        (ckpt / "config.json").write_text(json.dumps({**config, "pretrained_policy": "optional"}))
+        argv = ["eval", "--data", str(tiny_data_dir / "test.jsonl"), "--checkpoint"]
+        assert run_cli(capsys, *argv, str(ckpt)) == run_cli(capsys, *argv, str(tiny_checkpoint))
+
+    def test_out_of_memory_is_one_error_line(self):
+        # hash-stats sizes its hash codes from K before any size check; the
+        # address-space cap applies to the child process alone
+        resource = pytest.importorskip("resource")
+        cap = 3 * 2**30
+        env = {**os.environ, "PYTHONPATH": str(Path(dppnet.encoder.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "dppnet.cli", "hash-stats", "--m", "4", "--n", "4",
+             "--k", "4000000000"],
+            capture_output=True, text=True, env=env, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert (run.returncode, run.stdout) == (1, "")
+        (line,) = run.stderr.splitlines()
+        assert json.loads(line)["error"]["type"] == "MemoryError"
+
+    def test_train_options_are_documented_and_name_config_fields(self):
+        # the drift guard for train's one override table (cli.TRAIN_FLAGS)
+        import argparse
+        import dataclasses
+        import re
+
+        from dppnet.cli import build_parser
+        from dppnet.config import ModelConfig, RunConfig, TrainSchedule
+
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        options = [o for a in sub.choices["train"]._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"]
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert [o for o in options if not re.search(re.escape(o) + r"(?![\w-])", readme)] == []
+        names = {f.name for c in (RunConfig, ModelConfig, TrainSchedule)
+                 for f in dataclasses.fields(c)}
+        overrides = [o for o in options if o not in ("--config", "--data", "--out")]
+        assert [o for o in overrides if o[2:].replace("-", "_") not in names] == []
+
 
 class TestBoundaryRejections:
     @pytest.mark.parametrize("bad", ["true", "false", "NaN", "Infinity", "-Infinity"])

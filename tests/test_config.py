@@ -96,6 +96,54 @@ def test_pretrained_encoder_path_must_be_text():
         RunConfig(pretrained_encoder=5)
 
 
+def test_empty_pretrained_encoder_path_is_refused():
+    # "" would name the working directory; None is the way to train without one
+    with pytest.raises(ConfigError, match="pretrained_encoder"):
+        RunConfig(pretrained_encoder="")
+    with pytest.raises(ConfigError, match="pretrained_encoder"):
+        RunConfig.from_dict({"pretrained_encoder": ""})
+
+
+@pytest.mark.parametrize("policy, encoder", [
+    ("none", None), ("optional", "enc"), ("required", "enc"), ("anything", "enc"),
+])
+def test_legacy_pretrained_policy_still_loads(tmp_path, policy, encoder):
+    # every config.json written before the path alone decided holds the key;
+    # "none" meant no encoder whatever the path said
+    saved = {"precision": "f64", "pretrained_encoder": "enc", "pretrained_policy": policy}
+    (tmp_path / "config.json").write_text(json.dumps(saved))
+    rc = RunConfig.from_file(tmp_path / "config.json")
+    assert rc.pretrained_encoder == encoder
+    rc.save(tmp_path / "again.json")
+    assert "pretrained_policy" not in json.loads((tmp_path / "again.json").read_text())
+
+
+def test_with_overrides_sets_each_section():
+    base = RunConfig()
+    rc = base.with_overrides(precision="f32", pretrained_encoder="enc", variant="concat",
+                             num_candidates=64, seed=7, lr=0.5)
+    assert (rc.precision, rc.pretrained_encoder) == ("f32", "enc")
+    assert rc.model == ModelConfig(variant="concat", num_candidates=64)
+    assert rc.train == TrainSchedule(seed=7, lr=0.5)
+    assert base == RunConfig()  # the original is left as it was
+
+
+def test_with_overrides_leaves_none_unchanged():
+    rc = RunConfig(precision="f32", pretrained_encoder="enc",
+                   train=TrainSchedule(seed=4), model=ModelConfig(variant="concat"))
+    assert rc.with_overrides(precision=None, pretrained_encoder=None, seed=None,
+                             variant=None, lr=None) == rc
+
+
+def test_with_overrides_checks_what_it_sets():
+    with pytest.raises(ConfigError, match="lr"):
+        RunConfig().with_overrides(lr=-1.0)
+    with pytest.raises(ConfigError, match="variant"):
+        RunConfig().with_overrides(variant="dense")
+    with pytest.raises(TypeError, match="no_such_field"):
+        RunConfig().with_overrides(no_such_field=1)
+
+
 def test_float_fields_take_ints_and_optional_fields_take_none():
     sched = TrainSchedule(lr=1, clip_threshold=2, overfit_gap=0)
     assert (sched.lr, sched.clip_threshold) == (1, 2)

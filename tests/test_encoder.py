@@ -4,7 +4,7 @@ import pytest
 from fdutil import assert_fd_match
 
 from dppnet import checkpoint, encoder as enc
-from dppnet.errors import CheckpointError, ConfigError, ShapeError
+from dppnet.errors import CheckpointError, ShapeError
 from dppnet.tensor import ParamStore
 
 
@@ -269,9 +269,11 @@ class TestPretrained:
             assert np.array_equal(getattr(params, k), store[f"gru.{k}"])
         assert vocab is None
 
-    def test_missing_required_is_hard_error(self, tmp_path):
-        with pytest.raises(CheckpointError, match="required"):
-            enc.load_pretrained(tmp_path / "nope", required=True)
+    @pytest.mark.parametrize("where", ["absent", "empty"])
+    def test_missing_checkpoint_is_hard_error_naming_the_path(self, tmp_path, where):
+        (tmp_path / "empty").mkdir()  # a directory without a checkpoint manifest
+        with pytest.raises(CheckpointError, match=str(tmp_path / where)):
+            enc.load_pretrained(tmp_path / where)
 
     def test_missing_tensor_named(self, tmp_path):
         store = ParamStore("f64")
@@ -444,17 +446,3 @@ class TestFusedGruMatchesPerGateReference:
         assert rz.shape == (9, 3, 10) and h_bar.shape == (9, 3, 5)
 
 
-class TestPretrainedPolicy:
-    """load_pretrained owns the absent-checkpoint policy: optional gives None,
-    required raises."""
-
-    def test_absent_optional_is_none(self, tmp_path):
-        assert enc.load_pretrained(tmp_path / "nope") is None
-        assert enc.load_pretrained(tmp_path) is None  # a directory without a manifest
-
-    def test_no_path_optional_is_none(self):
-        assert enc.load_pretrained(None) is None
-
-    def test_no_path_required_is_config_error(self):
-        with pytest.raises(ConfigError, match="required"):
-            enc.load_pretrained(None, required=True)

@@ -118,11 +118,30 @@ class TestScheduleController:
 
     def test_patience_rule_trace(self):
         # improving for 10 epochs, then flat: stop at 15, best at 10
-        ctl = ScheduleController(TrainSchedule(patience=5, unfreeze_patience=3))
+        ctl = ScheduleController(TrainSchedule(patience=5, unfreeze_patience=3),
+                                 adapter_policy="never")
         accs = [(0.5, i / 100) for i in range(1, 11)] + [(0.9, 0.05)] * 10
         stopped_at, d, _ = self.run_trace(ctl, accs)
         assert stopped_at == 15
         assert ctl.best_epoch == 10
+
+    def test_unfrozen_model_gets_the_full_patience(self):
+        # improving for 10 epochs, then flat: the adapter unfreezes at 13, and
+        # staleness starts over there, so the stop comes patience epochs later
+        ctl = ScheduleController(TrainSchedule(patience=5, unfreeze_patience=3))
+        accs = [(0.5, i / 100) for i in range(1, 11)] + [(0.9, 0.05)] * 10
+        stopped_at, _, decisions = self.run_trace(ctl, accs)
+        assert [e for e, d in enumerate(decisions, 1) if d.unfreeze_adapter] == [13]
+        assert (stopped_at, ctl.best_epoch) == (18, 10)
+
+    def test_unfreezing_epoch_never_stops(self):
+        # unfreeze_patience == patience: the epoch that unfreezes the adapter
+        # must not also stop the run, or the unfrozen model never trains
+        ctl = ScheduleController(TrainSchedule(patience=3, unfreeze_patience=3))
+        decisions = [ctl.update(e, 0.5, 0.4) for e in range(1, 8)]
+        assert [(d.unfreeze_adapter, d.stop) for d in decisions] == [
+            (False, False), (False, False), (False, False), (True, False),
+            (False, False), (False, False), (False, True)]
 
     def test_adapter_unfreezes_on_saturation(self):
         ctl = ScheduleController(TrainSchedule(patience=5, unfreeze_patience=3))
@@ -312,13 +331,6 @@ class TestTrainLoop:
         best = validated[res.best_epoch - 1]
         assert all(np.array_equal(res.store[name], value) for name, value in best.items())
 
-    def test_pretrained_required_but_missing(self, tiny_sets):
-        train_ex, val_ex, _ = tiny_sets
-        rc = dataclasses.replace(small_run_config(max_epochs=1),
-                                 pretrained_policy="required")
-        with pytest.raises(ConfigError):
-            train(rc, train_ex, val_ex)
-
     def test_pretrained_encoder_adopted_and_rand_gru_ignores_it(self, tiny_sets, tmp_path):
         from dppnet import checkpoint as ckpt
 
@@ -346,11 +358,17 @@ class TestTrainLoop:
         cold_again = train(rc4, train_ex, val_ex)
         assert cold.epoch_losses == cold_again.epoch_losses
 
-    def test_pretrained_missing_optional_falls_back(self, tiny_sets, tmp_path):
+    def test_pretrained_missing_is_refused(self, tiny_sets, tmp_path):
+        from dppnet.errors import CheckpointError
+
         train_ex, val_ex, _ = tiny_sets
-        rc = dataclasses.replace(small_run_config(max_epochs=1, seed=13),
-                                 pretrained_encoder=str(tmp_path / "absent"))
-        res = train(rc, train_ex, val_ex)  # optional policy: random init
+        rc = small_run_config(max_epochs=1, seed=13).with_overrides(
+            pretrained_encoder=str(tmp_path / "absent"))
+        # a given encoder is never swapped for a random one
+        with pytest.raises(CheckpointError, match="absent"):
+            train(rc, train_ex, val_ex)
+        # rand-gru draws its encoder whatever the path says
+        res = train(rc.with_overrides(variant="rand-gru"), train_ex, val_ex)
         assert not res.aborted
 
     def test_pretrained_corrupt_always_rejected(self, tiny_sets, tmp_path):
