@@ -30,31 +30,26 @@ _WIRE_DTYPES = {"f32": "<f4", "f64": "<f8"}
 
 
 def save_params(store: ParamStore, directory) -> None:
+    """Write the manifest and the store's buffer, as the blob, in one pass."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    chunks = []
-    offset = 0
-    wire = _WIRE_DTYPES[store.precision]
-    for name, value in store.items():
-        raw = np.ascontiguousarray(value, dtype=wire).tobytes()
-        entries.append(
-            {
-                "name": name,
-                "shape": list(value.shape),
-                "dtype": store.precision,
-                "offset": offset,
-                "nbytes": len(raw),
-                "trainable": store.is_trainable(name),
-                "role": store.role(name),
-                "frozen": store.is_frozen(name),
-            }
-        )
-        chunks.append(raw)
-        offset += len(raw)
+    wire = np.dtype(_WIRE_DTYPES[store.precision])
+    entries = [
+        {
+            "name": name,
+            "shape": list(value.shape),
+            "dtype": store.precision,
+            "offset": store.span(name)[0] * wire.itemsize,
+            "nbytes": value.size * wire.itemsize,
+            "trainable": store.is_trainable(name),
+            "role": store.role(name),
+            "frozen": store.is_frozen(name),
+        }
+        for name, value in store.items()
+    ]
     manifest = {"format": _FORMAT, "byte_order": "little", "entries": entries}
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1))
-    (directory / BLOB_NAME).write_bytes(b"".join(chunks))
+    (directory / BLOB_NAME).write_bytes(store.buffer.astype(wire, copy=False))
 
 
 @contextmanager
@@ -163,23 +158,25 @@ def load_params(directory) -> ParamStore:
     if precision not in _WIRE_DTYPES:
         raise CheckpointError(f"unknown dtype {precision!r} in manifest")
     wire = np.dtype(_WIRE_DTYPES[precision])
-    store = ParamStore(precision)
-    frozen = []
+    offset = 0
     for e in entries:
-        count = math.prod(e["shape"])
-        if e["nbytes"] != count * wire.itemsize:
+        if e["nbytes"] != math.prod(e["shape"]) * wire.itemsize:
             raise CheckpointError(
                 f"entry {e['name']!r}: nbytes {e['nbytes']} does not hold shape {e['shape']}"
             )
-        raw = blob[e["offset"] : e["offset"] + e["nbytes"]]
-        if len(raw) != e["nbytes"]:
-            raise CheckpointError(f"entry {e['name']!r} truncated in {blob_path}")
-        value = np.frombuffer(raw, dtype=wire, count=count).reshape(e["shape"])
-        if not np.isfinite(value).all():
-            raise CheckpointError(f"entry {e['name']!r} in {blob_path} holds non-finite values")
-        store.add(e["name"], value, trainable=e["trainable"], role=e["role"])
+        if e["offset"] != offset:
+            raise CheckpointError(
+                f"entry {e['name']!r} starts at byte {e['offset']} of {blob_path}; "
+                f"the entries tile the blob in manifest order, so it must start at {offset}"
+            )
+        offset += e["nbytes"]
+    layout = [(e["name"], e["shape"], e) for e in entries]
+    store = ParamStore(precision, layout)
+    store.buffer[...] = np.frombuffer(blob, dtype=wire)
+    if not np.isfinite(store.buffer).all():
+        bad = next(n for n, value in store.items() if not np.isfinite(value).all())
+        raise CheckpointError(f"entry {bad!r} in {blob_path} holds non-finite values")
+    for e in entries:
         if e["frozen"]:
-            frozen.append(e["name"])
-    for name in frozen:
-        store.freeze(name)
+            store.freeze(e["name"])
     return store

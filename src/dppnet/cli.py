@@ -108,7 +108,9 @@ TRAIN_FLAGS = (
 
 
 def cmd_train(args) -> int:
-    rc = RunConfig.from_file(args.config) if args.config else RunConfig()
+    if args.config == "":
+        raise ConfigError("--config must name a run config file, got ''")
+    rc = RunConfig() if args.config is None else RunConfig.from_file(args.config)
     rc = rc.with_overrides(**{name: getattr(args, name) for name, _ in TRAIN_FLAGS})
     data_dir = _resolve_data(args.data)
     train_ex = load_jsonl(data_dir / "train.jsonl")

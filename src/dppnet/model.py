@@ -30,6 +30,7 @@ from .tensor import (
     batchnorm,
     batchnorm_backward,
     matmul,
+    np_dtype,
     softmax,
     softmax_xent,
 )
@@ -87,22 +88,37 @@ def _layout(cfg: ModelConfig):
     yield "cls.b", (cfg.num_answers,), 0.0, {}
 
 
+# Above this a store is refused before it is allocated: training holds the
+# buffer, its gathered gradient and Adam's two moments, four times as much.
+MAX_PARAM_BYTES = 2**31
+
+WIDTHS = ("feature_dim", "adapter_hidden", "adapter_out", "dyn_out", "num_candidates",
+          "hidden_dim", "embed_dim", "num_answers", "vocab_size")
+
+
 def init_params(cfg: ModelConfig, precision: str, seed: int) -> ParamStore:
-    """Build all parameters for the configured variant.
+    """Build all parameters for the configured variant, in one buffer.
 
     Draw order is fixed so variants sharing a sub-network start from identical
-    values for identical seeds.
+    values for identical seeds.  A model over MAX_PARAM_BYTES is a ConfigError.
     """
     cfg.require_resolved()
+    layout = list(_layout(cfg))
+    count = sum(math.prod(shape) for _, shape, _, _ in layout)
+    if count * np_dtype(precision).itemsize > MAX_PARAM_BYTES:
+        widths = ", ".join(f"{w}={getattr(cfg, w)}" for w in WIDTHS)
+        raise ConfigError(
+            f"{cfg.variant} model with {widths} has {count:,} {precision} parameters, "
+            f"over the {MAX_PARAM_BYTES:,}-byte limit"
+        )
     rng = np.random.default_rng(seed)
-    store = ParamStore(precision)
-    for name, shape, init, options in _layout(cfg):
+    store = ParamStore(precision, [(name, shape, options) for name, shape, _, options in layout])
+    for name, shape, init, _ in layout:
         if isinstance(init, float):
-            value = np.full(shape, init)
+            store[name].fill(init)
         else:  # drawn at f64; the store casts per its precision
             bound = 1.0 / np.sqrt(init)
-            value = rng.uniform(-bound, bound, size=shape)
-        store.add(name, value, **options)
+            store[name][...] = rng.uniform(-bound, bound, size=shape)
     return store
 
 

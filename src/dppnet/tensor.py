@@ -8,6 +8,7 @@ leads to instead of writing them, and ParamStore is the only mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,36 +187,61 @@ ROLES = ("static", "dynamic-producing")
 class ParamStore:
     """Named parameter tensors with trainable/frozen and role tags.
 
-    Dynamic weights are never stored here: parameters tagged
-    "dynamic-producing" are the ones whose outputs build them per question.
+    Every tensor is a view of one contiguous buffer, in declaration order:
+    whole-store passes (an optimizer step, a copy, a checkpoint) run over
+    spans of `buffer`.  Assignment writes into the view, so a view stays
+    live; add appends by reallocating the buffer, after which views taken
+    before it are stale.  Dynamic weights are never stored here: parameters
+    tagged "dynamic-producing" are the ones whose outputs build them per
+    question.
     """
 
-    def __init__(self, precision: str = "f64"):
+    def __init__(self, precision: str = "f64", layout=()):
+        """layout holds (name, shape, add options) triples, zero-filled in one allocation."""
         self.precision = precision
-        self._params: dict[str, np.ndarray] = {}
+        self.buffer = np.zeros(0, dtype=np_dtype(precision))
+        self._slots: dict[str, tuple[int, int, tuple]] = {}  # (start, stop, shape) in buffer
         self._trainable: dict[str, bool] = {}
         self._role: dict[str, str] = {}
         self._frozen: set[str] = set()
+        self._extend(layout)
+
+    def _extend(self, layout):
+        used = stop = self.buffer.size
+        for name, shape, options in layout:
+            role = options.get("role", "static")
+            if name in self._slots:
+                raise ConfigError(f"duplicate parameter name {name!r}")
+            if role not in ROLES:
+                raise ConfigError(f"unknown role {role!r} for {name!r}")
+            self._slots[name] = (stop, stop + math.prod(shape), tuple(shape))
+            stop = self._slots[name][1]
+            self._trainable[name] = options.get("trainable", True)
+            self._role[name] = role
+        buffer = np.zeros(stop, dtype=self.buffer.dtype)
+        buffer[:used] = self.buffer
+        self.buffer, self._params = buffer, self._views(buffer)
+
+    def _views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        return {n: buffer[a:b].reshape(shape) for n, (a, b, shape) in self._slots.items()}
 
     def add(self, name: str, value, *, trainable: bool = True, role: str = "static"):
-        if name in self._params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        if role not in ROLES:
-            raise ConfigError(f"unknown role {role!r} for {name!r}")
-        # own a writable copy; callers may hand us read-only buffer views
-        self._params[name] = np.array(value, dtype=np_dtype(self.precision))
-        self._trainable[name] = trainable
-        self._role[name] = role
+        value = np.asarray(value)
+        self._extend([(name, value.shape, {"trainable": trainable, "role": role})])
+        self._params[name][...] = value
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
 
     def __setitem__(self, name: str, value: np.ndarray):
-        old = self._params[name]
-        value = np.asarray(value, dtype=old.dtype)
-        if value.shape != old.shape:
-            raise ShapeError(f"assignment to {name!r} changes shape {old.shape} -> {value.shape}")
-        self._params[name] = value
+        view, value = self._params[name], np.asarray(value)
+        if value.shape != view.shape:
+            raise ShapeError(f"assignment to {name!r} changes shape {view.shape} -> {value.shape}")
+        view[...] = value
+
+    def span(self, name: str) -> tuple[int, int]:
+        """The (start, stop) of name's entries in buffer."""
+        return self._slots[name][:2]
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -258,8 +284,5 @@ class ParamStore:
         return [n for n in self._params if self._trainable[n] and n not in self._frozen]
 
     def copy_values(self) -> dict[str, np.ndarray]:
-        return {n: v.copy() for n, v in self._params.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]):
-        for n, v in values.items():
-            self[n] = v
+        """Every tensor, as views of one copy of the buffer."""
+        return self._views(self.buffer.copy())

@@ -1,6 +1,12 @@
 """Training loop: Adam with global-norm clipping, early stopping, staged
 adapter unfreezing, and permanent encoder freezing on overfit.
 
+Each step copies model.backward's gradients into one vector laid out like
+the store's buffer (AdamState.gather).  Clipping and the Adam update are then
+in-place passes over the few runs of updatable entries, each one IEEE
+operation of the per-tensor expressions in their order, so they keep the
+bits of a per-tensor update.
+
 Everything is seeded and reduction orders are fixed, so two runs with the
 same seed produce bit-identical logs at 64-bit precision, apart from each
 epoch record's wall-clock "timing", as long as both run at the same OpenBLAS
@@ -11,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,61 +31,128 @@ from .errors import CheckpointError, ConfigError, DataFormatError
 from .tensor import ParamStore
 
 
+class Gradients(dict):
+    """Gradients by name, in the order given, as views of one vector, flat.
+
+    runs are the merged (start, stop) stretches of flat they cover, in
+    order; scratch is a second vector of flat's size.
+    """
+
+    def __init__(self, flat: np.ndarray, scratch: np.ndarray, spans: dict, shapes: dict):
+        super().__init__((n, flat[a:b].reshape(shapes[n])) for n, (a, b) in spans.items())
+        self.flat, self.scratch, self.spans, self.runs = flat, scratch, spans, []
+        for a, b in sorted(spans.values()):
+            if self.runs and self.runs[-1][1] == a:
+                a = self.runs.pop()[0]
+            self.runs.append((a, b))
+
+
 def clip_gradients(grads: dict, threshold: float):
     """Scale all gradients so the global L2 norm is at most threshold.
 
-    Returns (grads, pre-clip norm); scaling happens only above the threshold.
-    The training loop passes model.backward's gradients, those of the tensors
-    the step updates, so a frozen tensor counts in neither the norm nor the
-    clipping (Pascanu et al., arXiv:1211.5063, rescale the applied update).
+    Returns (grads, pre-clip norm) with grads as Gradients, a plain dict
+    copied into one first, scaled in place only above the threshold.  The
+    norm adds each tensor's sum of squares in grads' order: the bits of a
+    per-tensor sum.  The training loop passes model.backward's gradients,
+    those of the tensors the step updates, so a frozen tensor counts in
+    neither the norm nor the clipping (Pascanu et al., arXiv:1211.5063,
+    rescale the applied update).
     """
     if threshold <= 0:
         raise ConfigError("clip threshold must be > 0")
-    sq = 0.0
-    for g in grads.values():
-        sq += float((g * g).sum())
-    norm = math.sqrt(sq)
+    if not isinstance(grads, Gradients):
+        ends = np.cumsum([np.size(g) for g in grads.values()], dtype=int)
+        flat = np.concatenate([np.ravel(g) for g in grads.values()] or [np.zeros(0)])
+        grads = Gradients(flat, np.empty_like(flat),
+                          {n: (e - np.size(g), e) for (n, g), e in zip(grads.items(), ends)},
+                          {n: np.shape(g) for n, g in grads.items()})
+    flat, sq = grads.flat, grads.scratch
+    for a, b in grads.runs:
+        np.multiply(flat[a:b], flat[a:b], out=sq[a:b])
+    total = 0.0
+    for a, b in grads.spans.values():
+        total += float(sq[a:b].sum())
+    norm = math.sqrt(total)
     if norm > threshold:
-        scale = threshold / norm
-        grads = {k: g * scale for k, g in grads.items()}
+        for a, b in grads.runs:
+            flat[a:b] *= threshold / norm
     return grads, norm
 
 
 @dataclass
 class AdamState:
+    """Adam's settings, step count and flat vectors: the rows of vectors are
+    the moments m and v, the gathered gradient g and a scratch s, laid out
+    like the store's buffer from its first entry ever updated, start.  So a
+    frozen prefix (the adapter) holds no moments until it unfreezes."""
+
     lr: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    start: int = 0
+    vectors: np.ndarray | None = None
+    gathered: Gradients | None = None  # gather's last result, until a step consumes it
+
+    def gather(self, store: ParamStore, grads: dict) -> Gradients:
+        """The gradients of store's updatable tensors, copied into g in grads'
+        order; the others are dropped.  adam_step consumes the result."""
+        live = set(store.updatable_names())
+        spans = {n: store.span(n) for n in grads if n in live}
+        size = store.buffer.size
+        start = min((a for a, _ in spans.values()), default=size)
+        if self.vectors is None or start < self.start:
+            grown = np.zeros((4, size - start), dtype=store.buffer.dtype)
+            if self.vectors is not None:
+                grown[:, self.start - start:] = self.vectors
+            self.vectors, self.start = grown, start
+        if self.start + self.vectors.shape[1] != size:
+            raise ConfigError(f"Adam state covers {self.start + self.vectors.shape[1]} "
+                              f"parameter entries, the store holds {size}")
+        out = Gradients(self.vectors[2], self.vectors[3],
+                        {n: (a - self.start, b - self.start) for n, (a, b) in spans.items()},
+                        {n: store[n].shape for n in spans})
+        for name, view in out.items():
+            if grads[name].shape != view.shape:
+                raise ConfigError(
+                    f"gradient shape {grads[name].shape} != parameter {name!r} {view.shape}")
+            view[...] = grads[name]
+        self.gathered = out
+        return out
 
 
 def adam_step(store: ParamStore, grads: dict, state: AdamState) -> None:
-    """One bias-corrected moment update over every updatable parameter.
+    """One bias-corrected moment update of every updatable parameter that has
+    a gradient, in place, pass by pass over the runs of the buffer they fill.
 
+    grads are gathered into state first unless state.gather made them.
     Frozen and non-trainable parameters are untouched: values and moments.
+    Each pass is one IEEE operation of the per-tensor expressions, in their
+    order (m = b1*m + (1-b1)*g, ...), so the bits are theirs.
     """
+    if grads is not state.gathered:
+        grads = state.gather(store, grads)
+    state.gathered = None
     state.step += 1
-    t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    for name in store.updatable_names():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != store[name].shape:
-            raise ConfigError(f"gradient shape {g.shape} != parameter {name!r} {store[name].shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(store[name])
-            state.v[name] = np.zeros_like(store[name])
-        v = state.v[name]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[name], state.v[name] = m, v
-        store[name] = store[name] - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    for a, b in grads.runs:
+        m, v, g, s = state.vectors[:, a:b]
+        np.multiply(g, 1.0 - b1, out=s)
+        m *= b1
+        m += s  # m = b1*m + (1-b1)*g
+        np.multiply(g, g, out=g)
+        g *= 1.0 - b2
+        v *= b2
+        v += g  # v = b2*v + (1-b2)*(g*g)
+        np.divide(m, c1, out=s)
+        s *= state.lr
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += state.eps
+        s /= g
+        store.buffer[state.start + a : state.start + b] -= s  # lr*(m/c1) / (sqrt(v/c2)+eps)
 
 
 @dataclass
@@ -281,7 +354,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
                      eps=schedule.adam_eps)
     rng = np.random.default_rng(schedule.seed)
 
-    best_values = store.copy_values()
+    best_values = store.buffer.copy()
     best_val_acc = -math.inf
     best_epoch = 0
     log = []
@@ -307,7 +380,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
                 seen += len(rows)
                 correct += int((caches["logits"].argmax(axis=1) == targets).sum())
                 del caches  # two steps' caches (GRU trace included) never coexist
-                grads, norm = clip_gradients(grads, schedule.clip_threshold)
+                grads, norm = clip_gradients(adam.gather(store, grads), schedule.clip_threshold)
                 grad_norms.append(norm)
                 adam_step(store, grads, adam)
             val_acc = evaluate(cfg, store, val_data)
@@ -337,7 +410,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
             progress(log[-1])
         decision = controller.update(epoch, train_acc, val_acc)
         if decision.improved:
-            best_values = store.copy_values()
+            best_values = store.buffer.copy()
             best_val_acc = val_acc
             best_epoch = epoch
         if decision.unfreeze_adapter:
@@ -348,7 +421,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
         if decision.stop:
             break
 
-    store.load_values(best_values)
+    store.buffer[...] = best_values
     return TrainResult(
         run_config=run_config,
         store=store,

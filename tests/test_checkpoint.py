@@ -35,6 +35,40 @@ def test_round_trip_bit_exact(tmp_path, precision):
     assert loaded.role("proj.w") == "dynamic-producing"
 
 
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_round_trip_keeps_the_buffer_and_its_tags(tmp_path, precision):
+    store = build_store(precision)
+    store.freeze("proj.w")
+    checkpoint.save_params(store, tmp_path)
+    assert (tmp_path / "params.bin").read_bytes() == store.buffer.astype(
+        "<f8" if precision == "f64" else "<f4").tobytes()
+    loaded = checkpoint.load_params(tmp_path)
+    assert loaded.buffer.tobytes() == store.buffer.tobytes()
+    assert all(np.shares_memory(loaded[n], loaded.buffer) for n in loaded)
+    assert [loaded.span(n) for n in loaded] == [store.span(n) for n in store]
+    assert loaded.frozen_names() == ["a.b", "proj.w"]
+    assert loaded.updatable_names() == ["a.w"]
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_non_finite_entry_is_named(tmp_path, precision):
+    store = build_store(precision)
+    store["stats"] = [1.0, np.nan]
+    store["proj.w"] = [[np.inf, 0.0], [0.0, 0.0]]  # a later bad tensor is not the one named
+    checkpoint.save_params(store, tmp_path)
+    with pytest.raises(CheckpointError, match="entry 'stats' .* non-finite"):
+        checkpoint.load_params(tmp_path)
+
+
+def test_entries_must_tile_the_blob_in_order(tmp_path):
+    manifest = _manifest(tmp_path)
+    first, second = manifest["entries"][:2]
+    first["offset"], second["offset"] = second["nbytes"], 0  # the same bytes, swapped
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(CheckpointError, match="'a.w' starts at byte 24"):
+        checkpoint.load_params(tmp_path)
+
+
 def test_save_load_save_is_stable(tmp_path):
     store = build_store()
     checkpoint.save_params(store, tmp_path / "one")

@@ -503,6 +503,40 @@ class TestErrorSurface:
         (line,) = run.stderr.splitlines()
         assert json.loads(line)["error"]["type"] == "MemoryError"
 
+    def test_empty_config_path_is_refused(self, capsys, tiny_data_dir, tmp_path):
+        # "" names no file: it must not mean "no config"
+        out = tmp_path / "model"
+        code, stdout, err = run_cli(capsys, "train", "--config", "", "--data",
+                                    str(tiny_data_dir), "--out", str(out), "--max-epochs", "1")
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ConfigError"
+        assert "--config" in error["message"]
+        assert not out.exists()
+
+    def test_model_too_large_to_allocate_is_refused(self, tiny_data_dir, tmp_path):
+        # proj.w alone would be 2.98 TiB: refused from the widths, before any
+        # allocation, in a child whose address space is capped at 3 GiB
+        resource = pytest.importorskip("resource")
+        cap = 3 * 2**30
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"num_candidates": 100000000, "hidden_dim": 4096}}))
+        out = tmp_path / "model"
+        env = {**os.environ, "PYTHONPATH": str(Path(dppnet.encoder.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "dppnet.cli", "train", "--config", str(cfg),
+             "--data", str(tiny_data_dir), "--out", str(out), "--max-epochs", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert (run.returncode, run.stdout) == (1, "")
+        (line,) = run.stderr.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ConfigError"
+        assert "num_candidates=100000000" in error["message"]
+        assert "hidden_dim=4096" in error["message"]
+        assert not out.exists()
+
     def test_train_options_are_documented_and_name_config_fields(self):
         # the drift guard for train's one override table (cli.TRAIN_FLAGS)
         import argparse

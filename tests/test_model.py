@@ -195,6 +195,20 @@ class TestParameterAccounting:
         assert mdl.count_trainable(cfg) == sum(
             store[n].size for n in store.names() if store.is_trainable(n))
 
+    @pytest.mark.parametrize("widths", [{}, {"adapter_out": 1024, "dyn_out": 1024,
+                                             "num_candidates": 8}], ids=["default", "wide"])
+    def test_size_limit_is_the_buffer_bytes(self, monkeypatch, widths):
+        cfg = ModelConfig(feature_dim=22, num_answers=13, vocab_size=16, **widths)
+        store = mdl.init_params(cfg, "f64", seed=0)
+        # one buffer in draw order, the limit on its bytes inclusive
+        assert [store.span(n)[0] for n in store] == sorted(store.span(n)[0] for n in store)
+        monkeypatch.setattr(mdl, "MAX_PARAM_BYTES", store.buffer.nbytes)
+        mdl.init_params(cfg, "f64", seed=0)
+        monkeypatch.setattr(mdl, "MAX_PARAM_BYTES", store.buffer.nbytes - 1)
+        with pytest.raises(ConfigError, match=r"adapter_out=\d+, dyn_out=\d+, num_candidates="):
+            mdl.init_params(cfg, "f64", seed=0)
+        mdl.init_params(cfg, "f32", seed=0)  # half the bytes
+
     def test_no_dynamic_weight_tensor_is_ever_stored(self, toy_cfg, toy_store):
         grid = toy_cfg.dyn_out * toy_cfg.adapter_out
         for name in toy_store.names():

@@ -245,6 +245,50 @@ class TestParamStore:
         with pytest.raises(ConfigError):
             store.freeze("nope")
 
+    def test_tensors_are_live_views_of_one_buffer(self):
+        from dppnet.trainer import AdamState, adam_step
+
+        store = ParamStore()
+        store.add("a", np.arange(6.0).reshape(2, 3))
+        store.add("b", np.ones(4), trainable=False)
+        view = store["a"]
+        assert np.shares_memory(view, store.buffer)
+        assert store.buffer.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 1.0, 1.0, 1.0]
+        adam_step(store, {"a": np.ones((2, 3))}, AdamState())
+        assert store["a"] is view and (view != np.arange(6.0).reshape(2, 3)).all()
+        assert store["b"].tolist() == [1.0] * 4
+
+    def test_assignment_writes_into_the_view(self):
+        store = ParamStore("f32")
+        store.add("w", np.zeros((2, 2)))
+        view = store["w"]
+        store["w"] = [[1.0, 2.0], [3.0, 4.0]]
+        assert store["w"] is view and view.dtype == np.float32
+        assert store.buffer.tolist() == [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ShapeError):
+            store["w"] = np.zeros(4)
+        assert store.buffer.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_layout_allocates_zeros_in_order(self):
+        store = ParamStore("f64", [("a", (2, 3), {}), ("b", (4,), {"trainable": False}),
+                                   ("c", (), {"role": "dynamic-producing"})])
+        assert store.names() == ["a", "b", "c"]
+        assert [store.span(n) for n in store] == [(0, 6), (6, 10), (10, 11)]
+        assert store.buffer.shape == (11,) and not store.buffer.any()
+        assert store.updatable_names() == ["a", "c"] and store.role("c") == "dynamic-producing"
+        with pytest.raises(ConfigError, match="duplicate"):
+            ParamStore("f64", [("a", (1,), {}), ("a", (2,), {})])
+
+    def test_copy_values_is_one_copy(self):
+        store = ParamStore()
+        store.add("a", np.ones(2))
+        store.add("b", np.zeros((1, 3)))
+        values = store.copy_values()
+        store["a"] = np.full(2, 5.0)
+        assert values["a"].tolist() == [1.0, 1.0] and values["b"].shape == (1, 3)
+        assert values["a"].base is values["b"].base
+        assert not np.shares_memory(values["a"], store.buffer)
+
     def test_roles_and_trainable_tags(self):
         store = ParamStore()
         store.add("proj.w", np.zeros(1), role="dynamic-producing")

@@ -91,19 +91,137 @@ class TestAdam:
         store = ParamStore()
         store.add("w", np.array([1.0]))
         store.add("frozen.w", np.array([2.0]))
+        state = AdamState()
+        adam_step(store, {"w": np.ones(1), "frozen.w": np.full(1, 0.5)}, state)
         store.freeze("frozen.w")
         raw = store["frozen.w"].tobytes()
-        state = AdamState()
         for _ in range(5):
             adam_step(store, {"w": np.ones(1), "frozen.w": np.ones(1)}, state)
         assert store["frozen.w"].tobytes() == raw
         assert store["w"][0] != 1.0
+        # untouched moments: once unfrozen, step 7 starts from the moments of step 1
+        store.unfreeze("frozen.w")
+        adam_step(store, {"w": np.ones(1), "frozen.w": np.full(1, 0.25)}, state)
+        b1, b2, g1, g7 = state.beta1, state.beta2, np.full(1, 0.5), np.full(1, 0.25)
+        m = b1 * ((1.0 - b1) * g1) + (1.0 - b1) * g7
+        v = b2 * ((1.0 - b2) * (g1 * g1)) + (1.0 - b2) * (g7 * g7)
+        step = state.lr * (m / (1.0 - b1 ** 7)) / (np.sqrt(v / (1.0 - b2 ** 7)) + state.eps)
+        assert store["frozen.w"].tobytes() == (np.frombuffer(raw) - step).tobytes()
 
     def test_shape_mismatch_rejected(self):
         store = ParamStore()
         store.add("w", np.ones(2))
         with pytest.raises(ConfigError):
             adam_step(store, {"w": np.ones(3)}, AdamState())
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_clip_and_step_match_a_per_tensor_reference(self, precision):
+        # the per-tensor expressions of the update, byte for byte, over a store
+        # that holds a frozen tensor between two updatable ones and a
+        # non-trainable one, while one tensor unfreezes and another freezes
+        dt = np.dtype(precision.replace("f", "float"))
+        rng = np.random.default_rng(3)
+        shapes = {"a.w": (3, 4), "frozen.w": (5,), "b.w": (2, 3), "stats": (4,), "c.b": (6,)}
+        store = ParamStore(precision)
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape), trainable=name != "stats")
+        store.freeze("frozen.w")
+        values = {n: store[n].copy() for n in shapes}
+        m, v = {}, {}
+        state = AdamState(lr=0.05)
+        lr, b1, b2, eps = state.lr, state.beta1, state.beta2, state.eps
+        for t in range(1, 9):
+            if t == 4:
+                store.unfreeze("frozen.w")
+            if t == 7:
+                store.freeze("b.w")
+            live = [n for n in shapes if n not in ("stats", *store.frozen_names())]
+            # backward's order is not the buffer's; the norm adds in the given order
+            grads = {n: (rng.normal(size=shapes[n]) * 10.0 ** (t % 3 - 1)).astype(dt)
+                     for n in reversed(live)}
+            sq = 0.0
+            for g in grads.values():
+                sq += float((g * g).sum())
+            ref_norm = math.sqrt(sq)
+            ref = grads
+            if ref_norm > 1.0:
+                ref = {k: g * (1.0 / ref_norm) for k, g in grads.items()}
+            clipped, norm = clip_gradients(grads, 1.0)
+            assert norm == ref_norm
+            assert {k: g.tobytes() for k, g in clipped.items()} == {
+                k: g.tobytes() for k, g in ref.items()}
+            adam_step(store, clipped, state)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for name in live:
+                g = ref[name]
+                m[name] = b1 * m.get(name, np.zeros_like(g)) + (1.0 - b1) * g
+                v[name] = b2 * v.get(name, np.zeros_like(g)) + (1.0 - b2) * (g * g)
+                values[name] = values[name] - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+            for name in shapes:
+                assert store[name].dtype == dt
+                assert store[name].tobytes() == values[name].tobytes(), (t, name)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_gathered_gradients_take_the_same_step(self, precision):
+        # the training loop gathers into the state's vectors before clipping;
+        # the moments begin at the first updated entry and grow once, when
+        # the frozen prefix unfreezes
+        rng = np.random.default_rng(5)
+        shapes = {"adapter.w": (4, 3), "cls.w": (2, 3), "bn.mean": (3,), "cls.b": (2,)}
+        stores, states, norms = [], [], []
+        for gathered in (False, True):
+            store = ParamStore(precision)
+            for name, shape in shapes.items():
+                store.add(name, np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape),
+                          trainable=name != "bn.mean")
+            store.freeze("adapter")
+            stores.append(store)
+            states.append(AdamState(lr=0.1))
+            norms.append([])
+        for t in range(6):
+            if t == 3:
+                for store in stores:
+                    store.unfreeze("adapter")
+            live = set(stores[0].updatable_names())  # as model.backward returns them
+            grads = {n: rng.normal(size=shapes[n]).astype(stores[0].buffer.dtype)
+                     for n in ("cls.b", "cls.w", "adapter.w") if n in live}
+            for store, state, seen in zip(stores, states, norms):
+                if store is stores[1]:
+                    grads = state.gather(store, grads)
+                    assert set(grads) == set(store.updatable_names())
+                clipped, norm = clip_gradients(grads, 1.0)
+                seen.append(norm)
+                adam_step(store, clipped, state)
+            assert states[1].start == (12 if t < 3 else 0)
+            assert states[1].vectors.shape == (4, stores[1].buffer.size - states[1].start)
+        assert norms[0] == norms[1]
+        assert stores[0].buffer.tobytes() == stores[1].buffer.tobytes()
+
+    def test_state_of_another_store_is_refused(self):
+        store = ParamStore()
+        store.add("w", np.ones(2))
+        state = AdamState()
+        adam_step(store, {"w": np.ones(2)}, state)
+        store.add("b", np.ones(1))
+        with pytest.raises(ConfigError, match="covers 2 .* holds 3"):
+            adam_step(store, {"w": np.ones(2)}, state)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_gradient_aliasing_its_parameter_equals_a_copy(self, precision):
+        stores = []
+        for alias in (True, False):
+            store = ParamStore(precision)
+            store.add("w", np.linspace(-2.0, 3.0, 7))
+            store.add("b", np.array([0.5, -0.25]))
+            state = AdamState(lr=0.1)
+            for _ in range(4):
+                grads = {n: store[n] if alias else store[n].copy() for n in ("b", "w")}
+                grads, _ = clip_gradients(grads, 2.0)
+                adam_step(store, grads, state)
+            stores.append(store)
+        aliased, copied = stores
+        for name in ("w", "b"):
+            assert aliased[name].tobytes() == copied[name].tobytes()
 
 
 class TestScheduleController:
