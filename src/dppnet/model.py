@@ -88,8 +88,9 @@ def _layout(cfg: ModelConfig):
     yield "cls.b", (cfg.num_answers,), 0.0, {}
 
 
-# Above this a store is refused before it is allocated: training holds the
-# buffer, its gathered gradient and Adam's two moments, four times as much.
+# Above this a store is refused before it is allocated.  A training step holds
+# up to seven vectors that size: the buffer, the best epoch's copy, Adam's four
+# rows (moments, gathered gradient, scratch) and backward's own gradients.
 MAX_PARAM_BYTES = 2**31
 
 WIDTHS = ("feature_dim", "adapter_hidden", "adapter_out", "dyn_out", "num_candidates",

@@ -220,10 +220,8 @@ class ParamStore:
             self._role[name] = role
         buffer = np.zeros(stop, dtype=self.buffer.dtype)
         buffer[:used] = self.buffer
-        self.buffer, self._params = buffer, self._views(buffer)
-
-    def _views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
-        return {n: buffer[a:b].reshape(shape) for n, (a, b, shape) in self._slots.items()}
+        self.buffer = buffer
+        self._params = {n: buffer[a:b].reshape(shape) for n, (a, b, shape) in self._slots.items()}
 
     def add(self, name: str, value, *, trainable: bool = True, role: str = "static"):
         value = np.asarray(value)
@@ -282,7 +280,3 @@ class ParamStore:
     def updatable_names(self) -> list[str]:
         """Parameters an optimizer step may write."""
         return [n for n in self._params if self._trainable[n] and n not in self._frozen]
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        """Every tensor, as views of one copy of the buffer."""
-        return self._views(self.buffer.copy())

@@ -1,11 +1,11 @@
 """Training loop: Adam with global-norm clipping, early stopping, staged
 adapter unfreezing, and permanent encoder freezing on overfit.
 
-Each step copies model.backward's gradients into one vector laid out like
-the store's buffer (AdamState.gather).  Clipping and the Adam update are then
-in-place passes over the few runs of updatable entries, each one IEEE
-operation of the per-tensor expressions in their order, so they keep the
-bits of a per-tensor update.
+Each step hands model.backward's gradients to one call, adam_step.  It copies
+them into one vector laid out like the store's buffer (AdamState.gather),
+then clips it and updates the parameters in place: passes over the few runs
+of updatable entries, each one IEEE operation of the per-tensor expressions
+in their order, so they keep the bits of a per-tensor update.
 
 Everything is seeded and reduction orders are fixed, so two runs with the
 same seed produce bit-identical logs at 64-bit precision, apart from each
@@ -47,25 +47,18 @@ class Gradients(dict):
             self.runs.append((a, b))
 
 
-def clip_gradients(grads: dict, threshold: float):
-    """Scale all gradients so the global L2 norm is at most threshold.
+def clip_gradients(grads: Gradients, threshold: float) -> float:
+    """Scale the gathered gradients in place so the global L2 norm is at most
+    threshold; returns the pre-clip norm.
 
-    Returns (grads, pre-clip norm) with grads as Gradients, a plain dict
-    copied into one first, scaled in place only above the threshold.  The
-    norm adds each tensor's sum of squares in grads' order: the bits of a
-    per-tensor sum.  The training loop passes model.backward's gradients,
-    those of the tensors the step updates, so a frozen tensor counts in
-    neither the norm nor the clipping (Pascanu et al., arXiv:1211.5063,
-    rescale the applied update).
+    The norm adds each tensor's sum of squares in grads' order: the bits of a
+    per-tensor sum.  adam_step passes model.backward's gradients of the
+    tensors the step updates, so a frozen tensor counts in neither the norm
+    nor the clipping (Pascanu et al., arXiv:1211.5063, rescale the applied
+    update).
     """
     if threshold <= 0:
         raise ConfigError("clip threshold must be > 0")
-    if not isinstance(grads, Gradients):
-        ends = np.cumsum([np.size(g) for g in grads.values()], dtype=int)
-        flat = np.concatenate([np.ravel(g) for g in grads.values()] or [np.zeros(0)])
-        grads = Gradients(flat, np.empty_like(flat),
-                          {n: (e - np.size(g), e) for (n, g), e in zip(grads.items(), ends)},
-                          {n: np.shape(g) for n, g in grads.items()})
     flat, sq = grads.flat, grads.scratch
     for a, b in grads.runs:
         np.multiply(flat[a:b], flat[a:b], out=sq[a:b])
@@ -76,7 +69,7 @@ def clip_gradients(grads: dict, threshold: float):
     if norm > threshold:
         for a, b in grads.runs:
             flat[a:b] *= threshold / norm
-    return grads, norm
+    return norm
 
 
 @dataclass
@@ -84,20 +77,21 @@ class AdamState:
     """Adam's settings, step count and flat vectors: the rows of vectors are
     the moments m and v, the gathered gradient g and a scratch s, laid out
     like the store's buffer from its first entry ever updated, start.  So a
-    frozen prefix (the adapter) holds no moments until it unfreezes."""
+    frozen prefix (the adapter) holds no moments until it unfreezes.  The
+    default clip_threshold never clips."""
 
     lr: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    clip_threshold: float = math.inf
     step: int = 0
     start: int = 0
     vectors: np.ndarray | None = None
-    gathered: Gradients | None = None  # gather's last result, until a step consumes it
 
     def gather(self, store: ParamStore, grads: dict) -> Gradients:
         """The gradients of store's updatable tensors, copied into g in grads'
-        order; the others are dropped.  adam_step consumes the result."""
+        order; the others are dropped."""
         live = set(store.updatable_names())
         spans = {n: store.span(n) for n in grads if n in live}
         size = store.buffer.size
@@ -118,22 +112,22 @@ class AdamState:
                 raise ConfigError(
                     f"gradient shape {grads[name].shape} != parameter {name!r} {view.shape}")
             view[...] = grads[name]
-        self.gathered = out
         return out
 
 
-def adam_step(store: ParamStore, grads: dict, state: AdamState) -> None:
-    """One bias-corrected moment update of every updatable parameter that has
-    a gradient, in place, pass by pass over the runs of the buffer they fill.
+def adam_step(store: ParamStore, grads: dict, state: AdamState) -> float:
+    """One clipped, bias-corrected moment update of every updatable parameter
+    that has a gradient, in place, pass by pass over the runs of the buffer
+    they fill; returns the pre-clip global norm.
 
-    grads are gathered into state first unless state.gather made them.
-    Frozen and non-trainable parameters are untouched: values and moments.
-    Each pass is one IEEE operation of the per-tensor expressions, in their
-    order (m = b1*m + (1-b1)*g, ...), so the bits are theirs.
+    grads (model.backward's) are gathered into state, then clipped to
+    state.clip_threshold.  Frozen and non-trainable parameters are
+    untouched: values and moments.  Each pass is one IEEE operation of the
+    per-tensor expressions, in their order (m = b1*m + (1-b1)*g, ...), so the
+    bits are theirs.
     """
-    if grads is not state.gathered:
-        grads = state.gather(store, grads)
-    state.gathered = None
+    grads = state.gather(store, grads)
+    norm = clip_gradients(grads, state.clip_threshold)
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
@@ -153,6 +147,7 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> None:
         g += state.eps
         s /= g
         store.buffer[state.start + a : state.start + b] -= s  # lr*(m/c1) / (sqrt(v/c2)+eps)
+    return norm
 
 
 @dataclass
@@ -168,16 +163,14 @@ class ScheduleController:
 
     Staleness counts epochs since the best validation accuracy, or since the
     adapter unfroze if later.  The adapter unfreezes once staleness reaches
-    unfreeze_patience (staged policy only), the encoder freezes for good after
+    unfreeze_patience (if staged), the encoder freezes for good after
     overfit_epochs consecutive epochs with train - val accuracy above
     overfit_gap, and training stops at patience.
     """
 
-    def __init__(self, schedule: TrainSchedule, adapter_policy: str = "staged"):
-        if adapter_policy not in ("staged", "never"):
-            raise ConfigError(f"unknown adapter policy {adapter_policy!r}")
+    def __init__(self, schedule: TrainSchedule, staged: bool = True):
         self.schedule = schedule
-        self.adapter_policy = adapter_policy
+        self.staged = staged
         self.adapter_frozen = True
         self.encoder_frozen = False
         self.best_val = -math.inf
@@ -194,7 +187,7 @@ class ScheduleController:
         else:
             self.stale += 1
         unfreeze = (
-            self.adapter_policy == "staged"
+            self.staged
             and self.adapter_frozen
             and self.stale >= self.schedule.unfreeze_patience
         )
@@ -284,12 +277,6 @@ class TrainResult:
         return [entry["train_loss"] for entry in self.log]
 
 
-def _adapter_policy(variant: str) -> str:
-    # the frozen-trunk ablations never unfreeze; the full model and the
-    # concat baseline follow the staged schedule
-    return "never" if variant in ("cnn-fixed", "rand-gru") else "staged"
-
-
 def train(run_config: RunConfig, train_examples, val_examples,
           progress=None) -> TrainResult:
     """Run the full schedule; returns the best-validation checkpoint and log.
@@ -348,10 +335,12 @@ def train(run_config: RunConfig, train_examples, val_examples,
     if (train_data.targets < 0).any():
         raise DataFormatError("training split contains answers outside its own answer space")
 
-    controller = ScheduleController(schedule, _adapter_policy(cfg.variant))
+    # the frozen-trunk ablations never unfreeze; the full model and the
+    # concat baseline follow the staged schedule
+    controller = ScheduleController(schedule, cfg.variant not in ("cnn-fixed", "rand-gru"))
     store.freeze(mdl.ADAPTER_PREFIX)
     adam = AdamState(lr=schedule.lr, beta1=schedule.beta1, beta2=schedule.beta2,
-                     eps=schedule.adam_eps)
+                     eps=schedule.adam_eps, clip_threshold=schedule.clip_threshold)
     rng = np.random.default_rng(schedule.seed)
 
     best_values = store.buffer.copy()
@@ -380,9 +369,8 @@ def train(run_config: RunConfig, train_examples, val_examples,
                 seen += len(rows)
                 correct += int((caches["logits"].argmax(axis=1) == targets).sum())
                 del caches  # two steps' caches (GRU trace included) never coexist
-                grads, norm = clip_gradients(adam.gather(store, grads), schedule.clip_threshold)
-                grad_norms.append(norm)
-                adam_step(store, grads, adam)
+                grad_norms.append(adam_step(store, grads, adam))
+                del grads  # nor two steps' gradients
             val_acc = evaluate(cfg, store, val_data)
         except FloatingPointError:
             aborted = True

@@ -279,16 +279,6 @@ class TestParamStore:
         with pytest.raises(ConfigError, match="duplicate"):
             ParamStore("f64", [("a", (1,), {}), ("a", (2,), {})])
 
-    def test_copy_values_is_one_copy(self):
-        store = ParamStore()
-        store.add("a", np.ones(2))
-        store.add("b", np.zeros((1, 3)))
-        values = store.copy_values()
-        store["a"] = np.full(2, 5.0)
-        assert values["a"].tolist() == [1.0, 1.0] and values["b"].shape == (1, 3)
-        assert values["a"].base is values["b"].base
-        assert not np.shares_memory(values["a"], store.buffer)
-
     def test_roles_and_trainable_tags(self):
         store = ParamStore()
         store.add("proj.w", np.zeros(1), role="dynamic-producing")
