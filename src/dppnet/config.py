@@ -58,15 +58,15 @@ _FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
 @dataclass
 class ModelConfig:
     variant: str = "dppnet"
-    feature_dim: int | None = None  # adopted from data when None
+    feature_dim: int | None = None  # train adopts the data's and refuses any other
     adapter_hidden: int = 96
     adapter_out: int = 64
     dyn_out: int = 32
     num_candidates: int = 512
     hidden_dim: int = 64
     embed_dim: int = 32
-    num_answers: int | None = None  # adopted from data
-    vocab_size: int | None = None  # adopted from data
+    num_answers: int | None = None  # train adopts the training answers', likewise
+    vocab_size: int | None = None  # the encoder's vocab.json or the data's, likewise
     concat_hidden: int | None = None  # solved to match parameter counts when None
     gru_bias: bool = False
     seed_bucket: int = DEFAULT_SEED_BUCKET

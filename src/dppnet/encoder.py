@@ -19,14 +19,10 @@ sequence always starts from the zero state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint
-from .data import Vocabulary
-from .errors import CheckpointError, ShapeError
-from .jsonio import read_json
+from .errors import ShapeError
 from .tensor import ParamStore, activation, matmul
 
 # Tests flip this on to assert gates stay strictly inside their open ranges;
@@ -233,33 +229,3 @@ def predict_candidates(h_last: np.ndarray, w_proj: np.ndarray) -> np.ndarray:
 def predict_candidates_backward(h_last: np.ndarray, w_proj: np.ndarray, d_candidates: np.ndarray):
     """Returns (dh_last, dw_proj)."""
     return matmul(d_candidates, w_proj), matmul(d_candidates.T, h_last)
-
-
-ENCODER_PARAM_NAMES = ("embed.table", "gru.w_r", "gru.w_z", "gru.w_h", "gru.u_r", "gru.u_z", "gru.u_h")
-
-
-def load_pretrained(directory):
-    """Import embedding + GRU weights from a params checkpoint directory.
-
-    Returns (embedding table, GruParams, Vocabulary or None).  A directory
-    that holds no checkpoint is a CheckpointError naming it; dimensions are
-    adopted from the file, internal inconsistencies are rejected with
-    specifics.
-    """
-    directory = Path(directory)
-    store = checkpoint.load_params(directory)
-    missing = [n for n in ENCODER_PARAM_NAMES if n not in store]
-    if missing:
-        raise CheckpointError(f"encoder checkpoint {directory} missing tensors: {missing}")
-    table = store["embed.table"]
-    params = GruParams.from_store(store)
-    if params.input_dim != table.shape[1]:
-        raise CheckpointError(
-            f"encoder checkpoint inconsistent: embedding dim {table.shape[1]} "
-            f"but gru input dim {params.input_dim}"
-        )
-    vocab = None
-    vocab_path = directory / "vocab.json"
-    if vocab_path.exists():
-        vocab = read_json(vocab_path, CheckpointError, Vocabulary.from_mapping)
-    return table, params, vocab

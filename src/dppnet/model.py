@@ -192,8 +192,7 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
     caches["candidates"] has one row per example.
     """
     h_last, trace, (_, inverse, groups) = encoding
-    caches = {"features": features, "mode": mode, "gru": trace, "h_last": h_last,
-              "shared": encoding[2]}
+    caches = {"features": features, "gru": trace, "h_last": h_last, "shared": encoding[2]}
     f_in, h1 = _adapter_forward(store, features)
     caches["h1"], caches["f_in"] = h1, f_in
 
@@ -458,13 +457,40 @@ def load_model(directory):
             f"checkpoint inconsistent: config lists vocab {cfg.vocab_size}, "
             f"vocab file has {len(vocab)}"
         )
-    cfg.require_resolved()
-    want = {name: shape for name, shape, _, _ in _layout(cfg)}
-    for name in sorted(want.keys() | set(store.names())):
-        got = store[name].shape if name in store else None
-        if got != want.get(name):
-            raise CheckpointError(
-                f"checkpoint {directory}: tensor {name!r} has shape {got}, "
-                f"its config needs {want.get(name)}"
-            )
+    check_layout(cfg, store, f"checkpoint {directory}")
     return run_config, store, vocab, answers
+
+
+def check_layout(cfg: ModelConfig, tensors, where: str, prefixes=None) -> None:
+    """A CheckpointError naming the first tensor by which tensors (a store or
+    a name -> array mapping) are not exactly the configured model's, at its
+    shapes; with prefixes, only the model's tensors under them count."""
+    cfg.require_resolved()
+    want = {name: shape for name, shape, _, _ in _layout(cfg)
+            if prefixes is None or name.split(".")[0] in prefixes}
+    for name in sorted(want.keys() | set(tensors)):
+        got = tensors[name].shape if name in tensors else None
+        if got != want.get(name):
+            raise CheckpointError(f"{where} inconsistent: tensor {name!r} has shape {got}, "
+                                  f"the configured model needs {want.get(name)}")
+
+
+def load_encoder(directory):
+    """A pretrained encoder: the embed.* and gru.* tensors of the params
+    checkpoint in directory, by name, and its vocab.json's Vocabulary, or None
+    without one.
+
+    A directory that holds no checkpoint is a CheckpointError naming it, and
+    so is one without the two matrices the encoder's widths are read from,
+    embed.table and gru.w_r; train checks the rest with check_layout.
+    """
+    directory = Path(directory)
+    store = ckpt.load_params(directory)
+    tensors = {n: v for n, v in store.items() if n.split(".")[0] in ENCODER_PREFIXES}
+    missing = [n for n in ("embed.table", "gru.w_r") if n not in tensors or tensors[n].ndim != 2]
+    if missing:
+        raise CheckpointError(f"encoder checkpoint {directory} missing tensors "
+                              f"(or not matrices): {missing}")
+    path = directory / VOCAB_NAME
+    vocab = read_json(path, CheckpointError, Vocabulary.from_mapping) if path.exists() else None
+    return tensors, vocab

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .config import RunConfig, TrainSchedule
 from .data import (
     AnswerSpace, QAExample, Vocabulary, build_vocab, length_batches, length_buckets,
 )
-from .encoder import load_pretrained
-from .errors import CheckpointError, ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError
 from .tensor import ParamStore
 
 
@@ -285,50 +284,38 @@ def train(run_config: RunConfig, train_examples, val_examples,
     and a FloatingPointError from a step or the validation pass abort the run,
     keeping the best checkpoint seen so far.
     """
-    from dataclasses import replace
-
     cfg = run_config.model
     schedule = run_config.train
     precision = run_config.precision
 
-    table = gru = vocab = None
+    encoder = vocab = None
     if cfg.variant != "rand-gru" and run_config.pretrained_encoder is not None:
-        table, gru, vocab = load_pretrained(run_config.pretrained_encoder)
-
+        encoder, vocab = mdl.load_encoder(run_config.pretrained_encoder)
     if vocab is not None:
         answers = AnswerSpace.from_examples(train_examples)
     else:
         vocab, answers = build_vocab(train_examples)
-        if table is not None and table.shape[0] != len(vocab):
-            raise CheckpointError(
-                f"pretrained encoder has {table.shape[0]} embedding rows but no "
-                f"vocab.json, and the training vocabulary has {len(vocab)} entries; "
-                f"token ids cannot be aligned"
-            )
 
-    feature_dim = int(np.asarray(train_examples[0].features).shape[-1])
-    cfg = replace(
-        cfg,
-        feature_dim=cfg.feature_dim or feature_dim,
-        num_answers=cfg.num_answers or len(answers),
-        vocab_size=cfg.vocab_size or len(vocab),
-    )
-    if gru is not None:
-        cfg = replace(
-            cfg,
-            embed_dim=table.shape[1],
-            hidden_dim=gru.hidden_dim,
-            vocab_size=table.shape[0],
-            gru_bias=gru.has_bias,
-        )
+    # the data decides these widths; a config that names another is wrong
+    widths = {"feature_dim": int(np.asarray(train_examples[0].features).shape[-1]),
+              "num_answers": len(answers), "vocab_size": len(vocab)}
+    for name, value in widths.items():
+        if getattr(cfg, name) not in (None, value):
+            raise ConfigError(f"model.{name} is {getattr(cfg, name)}, but the training "
+                              f"inputs give {value}")
+    cfg = replace(cfg, **widths)
+    if encoder is not None:
+        # the encoder's own widths are adopted, and its tensors must fit them
+        (_, embed_dim), (hidden_dim, _) = encoder["embed.table"].shape, encoder["gru.w_r"].shape
+        cfg = replace(cfg, embed_dim=embed_dim, hidden_dim=hidden_dim,
+                      gru_bias="gru.b_r" in encoder)
+        mdl.check_layout(cfg, encoder, f"encoder checkpoint {run_config.pretrained_encoder}",
+                         mdl.ENCODER_PREFIXES)
     run_config = replace(run_config, model=cfg)
 
     store = mdl.init_params(cfg, precision, seed=schedule.seed)
-    if gru is not None:
-        store["embed.table"] = table
-        for f in fields(gru):
-            if getattr(gru, f.name) is not None:
-                store[f"gru.{f.name}"] = getattr(gru, f.name)
+    for name, value in (encoder or {}).items():
+        store[name] = value
 
     train_data = encode_dataset(train_examples, vocab, answers, precision)
     val_data = encode_dataset(val_examples, vocab, answers, precision)

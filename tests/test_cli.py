@@ -196,6 +196,31 @@ class TestTrainCommand:
                   for l in (tmp_path / "re" / "log.jsonl").read_text().splitlines()]
         assert first == second
 
+    @pytest.mark.parametrize("case, named", [
+        ("short vocab.json", "'embed.table'"), ("vocab_size", "model.vocab_size"),
+        ("num_answers", "model.num_answers"), ("feature_dim", "model.feature_dim"),
+    ])
+    def test_widths_its_data_contradicts_are_refused(self, capsys, tiny_data_dir,
+                                                      tiny_checkpoint, tmp_path, case, named):
+        # each would train and write a checkpoint that load_model then refuses
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(tiny_data_dir), "--out", str(out), "--max-epochs", "1"]
+        if case == "short vocab.json":  # two tokens fewer than embed.table has rows
+            encoder = shutil.copytree(tiny_checkpoint, tmp_path / "encoder")
+            ids = json.loads((encoder / "vocab.json").read_text())
+            (encoder / "vocab.json").write_text(
+                json.dumps({token: i for token, i in ids.items() if i < len(ids) - 2}))
+            argv += ["--pretrained-encoder", str(encoder)]
+        else:
+            value = {"vocab_size": 40, "num_answers": 30, "feature_dim": 7}[case]
+            (tmp_path / "cfg.json").write_text(json.dumps({"model": {case: value}}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        assert named in json.loads(line)["error"]["message"]
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_model_eval_reports_accuracy(self, capsys, tiny_data_dir, tiny_checkpoint):

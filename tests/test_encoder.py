@@ -1,11 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from fdutil import assert_fd_match
 
-from dppnet import checkpoint, encoder as enc
+from dppnet import checkpoint, encoder as enc, model as mdl
+from dppnet.config import RunConfig
+from dppnet.data import QAExample
 from dppnet.errors import CheckpointError, ShapeError
 from dppnet.tensor import ParamStore
+from dppnet.trainer import train
 
 
 def random_gru(rng, hidden=5, embed=4, scale=1.0):
@@ -250,6 +255,9 @@ class TestProjection:
 
 
 class TestPretrained:
+    """A pretrained encoder through its one loader, model.load_encoder, and
+    through train, which checks it against the model's layout."""
+
     def build_encoder_store(self, rng, vocab=7, embed=4, hidden=5):
         store = ParamStore("f64")
         store.add("embed.table", rng.normal(size=(vocab, embed)), role="dynamic-producing")
@@ -263,24 +271,34 @@ class TestPretrained:
         rng = np.random.default_rng(7)
         store = self.build_encoder_store(rng)
         checkpoint.save_params(store, tmp_path)
-        table, params, vocab = enc.load_pretrained(tmp_path)
-        assert np.array_equal(table, store["embed.table"])
-        for k in ("w_r", "w_z", "w_h", "u_r", "u_z", "u_h"):
-            assert np.array_equal(getattr(params, k), store[f"gru.{k}"])
+        tensors, vocab = mdl.load_encoder(tmp_path)
+        assert list(tensors) == store.names()
+        for name in store.names():
+            assert tensors[name].tobytes() == store[name].tobytes()
         assert vocab is None
 
     @pytest.mark.parametrize("where", ["absent", "empty"])
     def test_missing_checkpoint_is_hard_error_naming_the_path(self, tmp_path, where):
         (tmp_path / "empty").mkdir()  # a directory without a checkpoint manifest
         with pytest.raises(CheckpointError, match=str(tmp_path / where)):
-            enc.load_pretrained(tmp_path / where)
+            mdl.load_encoder(tmp_path / where)
 
     def test_missing_tensor_named(self, tmp_path):
         store = ParamStore("f64")
         store.add("embed.table", np.zeros((3, 2)))
         checkpoint.save_params(store, tmp_path)
         with pytest.raises(CheckpointError, match="gru.w_r"):
-            enc.load_pretrained(tmp_path)
+            mdl.load_encoder(tmp_path)
+
+    def test_width_tensors_must_be_matrices(self, tmp_path):
+        # the widths are read from these two shapes: a vector is refused, not unpacked
+        store = self.build_encoder_store(np.random.default_rng(10))
+        flat = ParamStore("f64")
+        for name in store.names():
+            flat.add(name, store[name].ravel() if name == "embed.table" else store[name])
+        checkpoint.save_params(flat, tmp_path)
+        with pytest.raises(CheckpointError, match="'embed.table'"):
+            mdl.load_encoder(tmp_path)
 
     def test_inconsistent_dims_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -291,8 +309,16 @@ class TestPretrained:
         for k in ("u_r", "u_z", "u_h"):
             store.add(f"gru.{k}", rng.normal(size=(5, 5)))
         checkpoint.save_params(store, tmp_path)
-        with pytest.raises(CheckpointError, match="inconsistent"):
-            enc.load_pretrained(tmp_path)
+        # seven ids, so the table's rows fit and its width is what train adopts
+        words = ["what", "color", "is", "the", "cube", "sphere"]
+        (tmp_path / "vocab.json").write_text(
+            json.dumps({"<unk>": 0, **{w: i + 1 for i, w in enumerate(words)}}))
+        examples = [QAExample(features=np.ones(3), question=f"what color is the {shape}",
+                              answers=[answer])
+                    for shape, answer in (("cube", "red"), ("sphere", "blue"))]
+        rc = RunConfig(pretrained_encoder=str(tmp_path))
+        with pytest.raises(CheckpointError, match=r"inconsistent: tensor 'gru.w_h' has shape \(5, 4\)"):
+            train(rc, examples, examples)
 
     def test_loaded_encoder_reproduces_recorded_state(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -301,8 +327,9 @@ class TestPretrained:
         x = enc.embed(tokens, store["embed.table"])
         recorded, _ = enc.gru_encode(x, enc.GruParams.from_store(store))
         checkpoint.save_params(store, tmp_path)
-        table, params, _ = enc.load_pretrained(tmp_path)
-        replayed, _ = enc.gru_encode(enc.embed(tokens, table), params)
+        tensors, _ = mdl.load_encoder(tmp_path)
+        replayed, _ = enc.gru_encode(enc.embed(tokens, tensors["embed.table"]),
+                                     enc.GruParams.from_store(tensors))
         assert np.abs(replayed - recorded).max() <= 1e-6
 
 

@@ -526,6 +526,43 @@ class TestTrainLoop:
         with pytest.raises(CheckpointError, match="missing tensors"):
             train(rc, train_ex, val_ex)
 
+    @pytest.mark.parametrize("variant, encoder", [
+        ("dppnet", None), ("concat", None), ("cnn-fixed", None), ("rand-gru", None),
+        ("dppnet", "with vocab.json"), ("dppnet", "without vocab.json"),
+    ])
+    def test_checkpoint_it_writes_loads(self, tiny_sets, tmp_path, variant, encoder):
+        # a width train accepts and load_model refuses fails here
+        from dppnet import checkpoint as ckpt
+        import json
+
+        train_ex, val_ex, _ = tiny_sets
+        rc = small_run_config(max_epochs=1, seed=15).with_overrides(variant=variant)
+        if encoder is not None:
+            # the encoder's widths and biases are not the run config's
+            donor = train(small_run_config(max_epochs=1, seed=16).with_overrides(
+                embed_dim=8, hidden_dim=12, gru_bias=True), train_ex, val_ex)
+            tensors = {n: v for n, v in donor.store.items() if n.split(".")[0] in ("embed", "gru")}
+            ids = donor.vocab.as_dict()
+            if encoder == "with vocab.json":  # a vocabulary wider than the data's
+                tensors["embed.table"] = np.vstack([tensors["embed.table"], np.ones((2, 8))])
+                ids.update({"zebra": len(ids), "zither": len(ids) + 1})
+            enc_store = ParamStore("f64")
+            for name, value in tensors.items():
+                enc_store.add(name, value)
+            ckpt.save_params(enc_store, tmp_path / "encoder")
+            if encoder == "with vocab.json":
+                (tmp_path / "encoder" / "vocab.json").write_text(json.dumps(ids))
+            rc = rc.with_overrides(pretrained_encoder=str(tmp_path / "encoder"))
+        res = train(rc, train_ex, val_ex)
+        mdl.save_model(tmp_path / "model", res.run_config, res.store, res.vocab, res.answers)
+        run_config, store, vocab, _ = mdl.load_model(tmp_path / "model")
+        assert run_config == res.run_config
+        assert np.array_equal(store.buffer, res.store.buffer)
+        cfg = run_config.model
+        if encoder is not None:
+            assert (cfg.embed_dim, cfg.hidden_dim, cfg.gru_bias) == (8, 12, True)
+            assert cfg.vocab_size == len(vocab) == len(ids)
+
     def test_gru_freeze_fires_and_is_permanent(self, tiny_sets):
         train_ex, val_ex, _ = tiny_sets
         # a gap threshold of zero freezes the encoder almost immediately
