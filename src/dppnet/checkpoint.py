@@ -1,8 +1,8 @@
 """Manifest + raw-blob parameter serialization.
 
-A checkpoint directory holds a JSON manifest listing name, shape, dtype and
-byte offset per tensor, and one binary blob of little-endian scalars in
-manifest order.  Round trips are bit-exact.  replacing swaps a whole
+A checkpoint directory holds a JSON manifest listing name, shape, dtype, byte
+offset and trainable tag per tensor, and one binary blob of little-endian
+scalars in manifest order.  Round trips are bit-exact.  replacing swaps a whole
 output directory (a checkpoint, a generated dataset) for a freshly written one.
 """
 
@@ -42,8 +42,6 @@ def save_params(store: ParamStore, directory) -> None:
             "offset": store.span(name)[0] * wire.itemsize,
             "nbytes": value.size * wire.itemsize,
             "trainable": store.is_trainable(name),
-            "role": store.role(name),
-            "frozen": store.is_frozen(name),
         }
         for name, value in store.items()
     ]
@@ -107,10 +105,8 @@ _ENTRY_SCHEMA = {  # key -> (check, what the value must be)
     "offset": (_is_count, "an int >= 0"),
     "nbytes": (_is_count, "an int >= 0"),
     "trainable": (lambda v: isinstance(v, bool), "a boolean"),
-    "role": (lambda v: isinstance(v, str), "a string"),
-    "frozen": (lambda v: isinstance(v, bool), "a boolean"),
 }
-_TAG_DEFAULTS = {"trainable": True, "role": "static", "frozen": False}  # the optional keys
+_TAG_DEFAULTS = {"trainable": True}  # optional; other keys (old "role", "frozen") are ignored
 
 
 def _check_entries(manifest, manifest_path) -> list[dict]:
@@ -170,13 +166,9 @@ def load_params(directory) -> ParamStore:
                 f"the entries tile the blob in manifest order, so it must start at {offset}"
             )
         offset += e["nbytes"]
-    layout = [(e["name"], e["shape"], e) for e in entries]
-    store = ParamStore(precision, layout)
+    store = ParamStore(precision, [(e["name"], e["shape"], e["trainable"]) for e in entries])
     store.buffer[...] = np.frombuffer(blob, dtype=wire)
     if not np.isfinite(store.buffer).all():
         bad = next(n for n, value in store.items() if not np.isfinite(value).all())
         raise CheckpointError(f"entry {bad!r} in {blob_path} holds non-finite values")
-    for e in entries:
-        if e["frozen"]:
-            store.freeze(e["name"])
     return store

@@ -265,7 +265,16 @@ def cmd_gradcheck(args) -> int:
     return 0 if report["passed"] else 1
 
 
+# hash-stats holds a few 2K-long arrays and reports K bucket loads
+MAX_STATS_CANDIDATES = 1 << 20
+
+
 def cmd_hash_stats(args) -> int:
+    if args.n > hashing.BLOCK_BUDGET:  # a row is hashed in one piece
+        raise ConfigError(f"--n {args.n} is above hashing.BLOCK_BUDGET ({hashing.BLOCK_BUDGET})")
+    if args.k > MAX_STATS_CANDIDATES:
+        raise ConfigError(f"--k {args.k} is above the {MAX_STATS_CANDIDATES} candidates "
+                          "hash-stats reports")
     spec = hashing.HashSpec(
         out_dim=args.m,
         in_dim=args.n,

@@ -51,41 +51,42 @@ def concat_hidden_dim(cfg: ModelConfig) -> int:
 
 def _layout(cfg: ModelConfig):
     """Every parameter of the configured variant, in draw order, as
-    (name, shape, init, store.add options).
+    (name, shape, init, trainable).
 
     init is either a fan-in, for a uniform draw in +-1/sqrt(fan_in), or the
     float that fills the tensor without a draw.
     """
     f, a, n = cfg.feature_dim, cfg.adapter_hidden, cfg.adapter_out
     h, e, m = cfg.hidden_dim, cfg.embed_dim, cfg.dyn_out
-    yield "adapter.w1", (a, f), f, {}
-    yield "adapter.b1", (a,), 0.0, {}
-    yield "adapter.w2", (n, a), a, {}
-    yield "adapter.b2", (n,), 0.0, {}
-    dyn_role = {"role": "static" if cfg.variant == "concat" else "dynamic-producing"}
-    yield "embed.table", (cfg.vocab_size, e), e, dyn_role
+    yield "adapter.w1", (a, f), f, True
+    yield "adapter.b1", (a,), 0.0, True
+    yield "adapter.w2", (n, a), a, True
+    yield "adapter.b2", (n,), 0.0, True
+    # the parameter prediction network: the question encoder and, outside
+    # concat, proj.w, whose outputs are the candidate weights
+    yield "embed.table", (cfg.vocab_size, e), e, True
     for name in ("w_r", "w_z", "w_h"):
-        yield f"gru.{name}", (h, e), e, dyn_role
+        yield f"gru.{name}", (h, e), e, True
     for name in ("u_r", "u_z", "u_h"):
-        yield f"gru.{name}", (h, h), h, dyn_role
+        yield f"gru.{name}", (h, h), h, True
     if cfg.gru_bias:
         for name in ("b_r", "b_z", "b_h"):
-            yield f"gru.{name}", (h,), 0.0, dyn_role
+            yield f"gru.{name}", (h,), 0.0, True
     if cfg.variant == "concat":
         d = concat_hidden_dim(cfg)
-        yield "mix.w1", (d, n + h), n + h, {}
-        yield "mix.b1", (d,), 0.0, {}
-        yield "mix.w2", (m, d), d, {}
-        yield "mix.b2", (m,), 0.0, {}
+        yield "mix.w1", (d, n + h), n + h, True
+        yield "mix.b1", (d,), 0.0, True
+        yield "mix.w2", (m, d), d, True
+        yield "mix.b2", (m,), 0.0, True
     else:
-        yield "proj.w", (cfg.num_candidates, h), h, {"role": "dynamic-producing"}
-        yield "dyn.b", (m,), 0.0, {}
-    yield "bn.gamma", (m,), 1.0, {}
-    yield "bn.beta", (m,), 0.0, {}
-    yield "bn.running_mean", (m,), 0.0, {"trainable": False}
-    yield "bn.running_var", (m,), 1.0, {"trainable": False}
-    yield "cls.w", (cfg.num_answers, m), m, {}
-    yield "cls.b", (cfg.num_answers,), 0.0, {}
+        yield "proj.w", (cfg.num_candidates, h), h, True
+        yield "dyn.b", (m,), 0.0, True
+    yield "bn.gamma", (m,), 1.0, True
+    yield "bn.beta", (m,), 0.0, True
+    yield "bn.running_mean", (m,), 0.0, False
+    yield "bn.running_var", (m,), 1.0, False
+    yield "cls.w", (cfg.num_answers, m), m, True
+    yield "cls.b", (cfg.num_answers,), 0.0, True
 
 
 # Above this a store is refused before it is allocated.  A training step holds
@@ -113,7 +114,8 @@ def init_params(cfg: ModelConfig, precision: str, seed: int) -> ParamStore:
             f"over the {MAX_PARAM_BYTES:,}-byte limit"
         )
     rng = np.random.default_rng(seed)
-    store = ParamStore(precision, [(name, shape, options) for name, shape, _, options in layout])
+    store = ParamStore(precision, [(name, shape, trainable)
+                                   for name, shape, _, trainable in layout])
     for name, shape, init, _ in layout:
         if isinstance(init, float):
             store[name].fill(init)
@@ -350,8 +352,7 @@ def predict_dataset(cfg: ModelConfig, store: ParamStore, data, choice_mask=None)
 
 def count_trainable(cfg: ModelConfig) -> int:
     cfg.require_resolved()
-    return sum(math.prod(shape) for _, shape, _, options in _layout(cfg)
-               if options.get("trainable", True))
+    return sum(math.prod(shape) for _, shape, _, trainable in _layout(cfg) if trainable)
 
 
 def parameter_counts(cfg: ModelConfig) -> dict:

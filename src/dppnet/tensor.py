@@ -181,51 +181,44 @@ def batchnorm_backward(cache, dy: np.ndarray):
     return dx, dgamma, dbeta
 
 
-ROLES = ("static", "dynamic-producing")
-
-
 class ParamStore:
-    """Named parameter tensors with trainable/frozen and role tags.
+    """Named parameter tensors, each tagged trainable or not, and a live
+    frozen set.
 
     Every tensor is a view of one contiguous buffer, in declaration order:
     whole-store passes (an optimizer step, a copy, a checkpoint) run over
     spans of `buffer`.  Assignment writes into the view, so a view stays
     live; add appends by reallocating the buffer, after which views taken
-    before it are stale.  Dynamic weights are never stored here: parameters
-    tagged "dynamic-producing" are the ones whose outputs build them per
-    question.
+    before it are stale.  Dynamic weights are never stored here.  A
+    checkpoint keeps the trainable tag alone: the frozen set is training
+    state, and log.jsonl records what each epoch froze.
     """
 
     def __init__(self, precision: str = "f64", layout=()):
-        """layout holds (name, shape, add options) triples, zero-filled in one allocation."""
+        """layout holds (name, shape, trainable) triples, zero-filled in one allocation."""
         self.precision = precision
         self.buffer = np.zeros(0, dtype=np_dtype(precision))
         self._slots: dict[str, tuple[int, int, tuple]] = {}  # (start, stop, shape) in buffer
         self._trainable: dict[str, bool] = {}
-        self._role: dict[str, str] = {}
         self._frozen: set[str] = set()
         self._extend(layout)
 
     def _extend(self, layout):
         used = stop = self.buffer.size
-        for name, shape, options in layout:
-            role = options.get("role", "static")
+        for name, shape, trainable in layout:
             if name in self._slots:
                 raise ConfigError(f"duplicate parameter name {name!r}")
-            if role not in ROLES:
-                raise ConfigError(f"unknown role {role!r} for {name!r}")
             self._slots[name] = (stop, stop + math.prod(shape), tuple(shape))
             stop = self._slots[name][1]
-            self._trainable[name] = options.get("trainable", True)
-            self._role[name] = role
+            self._trainable[name] = trainable
         buffer = np.zeros(stop, dtype=self.buffer.dtype)
         buffer[:used] = self.buffer
         self.buffer = buffer
         self._params = {n: buffer[a:b].reshape(shape) for n, (a, b, shape) in self._slots.items()}
 
-    def add(self, name: str, value, *, trainable: bool = True, role: str = "static"):
+    def add(self, name: str, value, *, trainable: bool = True):
         value = np.asarray(value)
-        self._extend([(name, value.shape, {"trainable": trainable, "role": role})])
+        self._extend([(name, value.shape, trainable)])
         self._params[name][...] = value
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -253,14 +246,8 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def role(self, name: str) -> str:
-        return self._role[name]
-
     def is_trainable(self, name: str) -> bool:
         return self._trainable[name]
-
-    def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
 
     def freeze(self, prefix: str):
         """Freeze all parameters whose name equals or starts with prefix."""

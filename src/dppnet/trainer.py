@@ -296,9 +296,17 @@ def train(run_config: RunConfig, train_examples, val_examples,
     else:
         vocab, answers = build_vocab(train_examples)
 
+    train_data = encode_dataset(train_examples, vocab, answers, precision)
+    val_data = encode_dataset(val_examples, vocab, answers, precision)
+    if (train_data.targets < 0).any():
+        raise DataFormatError("training split contains answers outside its own answer space")
+    feature_dim = train_data.features.shape[1]
+    if val_data.features.shape[1] != feature_dim:
+        raise DataFormatError(f"validation split has {val_data.features.shape[1]} features "
+                              f"per example, the training split {feature_dim}")
+
     # the data decides these widths; a config that names another is wrong
-    widths = {"feature_dim": int(np.asarray(train_examples[0].features).shape[-1]),
-              "num_answers": len(answers), "vocab_size": len(vocab)}
+    widths = {"feature_dim": feature_dim, "num_answers": len(answers), "vocab_size": len(vocab)}
     for name, value in widths.items():
         if getattr(cfg, name) not in (None, value):
             raise ConfigError(f"model.{name} is {getattr(cfg, name)}, but the training "
@@ -317,11 +325,6 @@ def train(run_config: RunConfig, train_examples, val_examples,
     for name, value in (encoder or {}).items():
         store[name] = value
 
-    train_data = encode_dataset(train_examples, vocab, answers, precision)
-    val_data = encode_dataset(val_examples, vocab, answers, precision)
-    if (train_data.targets < 0).any():
-        raise DataFormatError("training split contains answers outside its own answer space")
-
     # the frozen-trunk ablations never unfreeze; the full model and the
     # concat baseline follow the staged schedule
     controller = ScheduleController(schedule, cfg.variant not in ("cnn-fixed", "rand-gru"))
@@ -331,8 +334,6 @@ def train(run_config: RunConfig, train_examples, val_examples,
     rng = np.random.default_rng(schedule.seed)
 
     best_values = store.buffer.copy()
-    best_val_acc = -math.inf
-    best_epoch = 0
     log = []
     aborted = False
     epochs_run = 0
@@ -386,8 +387,6 @@ def train(run_config: RunConfig, train_examples, val_examples,
         decision = controller.update(epoch, train_acc, val_acc)
         if decision.improved:
             best_values = store.buffer.copy()
-            best_val_acc = val_acc
-            best_epoch = epoch
         if decision.unfreeze_adapter:
             store.unfreeze(mdl.ADAPTER_PREFIX)
         if decision.freeze_encoder:
@@ -403,8 +402,8 @@ def train(run_config: RunConfig, train_examples, val_examples,
         vocab=vocab,
         answers=answers,
         log=log,
-        best_val_acc=best_val_acc if best_val_acc > -math.inf else 0.0,
-        best_epoch=best_epoch,
+        best_val_acc=controller.best_val if controller.best_epoch else 0.0,
+        best_epoch=controller.best_epoch,
         epochs_run=epochs_run,
         aborted=aborted,
     )

@@ -16,7 +16,7 @@ def build_store(precision="f64"):
     store.add("a.w", rng.normal(size=(3, 4)))
     store.add("a.b", rng.normal(size=3))
     store.add("stats", rng.normal(size=(2,)), trainable=False)
-    store.add("proj.w", rng.normal(size=(2, 2)), role="dynamic-producing")
+    store.add("proj.w", rng.normal(size=(2, 2)))
     store.freeze("a.b")
     return store
 
@@ -30,9 +30,7 @@ def test_round_trip_bit_exact(tmp_path, precision):
     for name in store.names():
         assert loaded[name].dtype == store[name].dtype
         assert np.array_equal(loaded[name], store[name])
-    assert loaded.is_frozen("a.b")
     assert not loaded.is_trainable("stats")
-    assert loaded.role("proj.w") == "dynamic-producing"
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -46,8 +44,32 @@ def test_round_trip_keeps_the_buffer_and_its_tags(tmp_path, precision):
     assert loaded.buffer.tobytes() == store.buffer.tobytes()
     assert all(np.shares_memory(loaded[n], loaded.buffer) for n in loaded)
     assert [loaded.span(n) for n in loaded] == [store.span(n) for n in store]
-    assert loaded.frozen_names() == ["a.b", "proj.w"]
-    assert loaded.updatable_names() == ["a.w"]
+    # the one tag saved is trainable; what a run froze is training state
+    assert loaded.frozen_names() == []
+    assert loaded.updatable_names() == ["a.w", "a.b", "proj.w"]
+
+
+def test_entries_hold_exactly_the_six_keys(tmp_path):
+    manifest = _manifest(tmp_path)
+    assert [sorted(e) for e in manifest["entries"]] == [sorted(_ENTRY_KEYS)] * 4
+    assert [e["trainable"] for e in manifest["entries"]] == [True, True, False, True]
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_manifest_with_legacy_role_and_frozen_tags_loads(tmp_path, precision):
+    # every manifest written before the one tag holds both keys on every entry
+    store = build_store(precision)
+    checkpoint.save_params(store, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for entry, frozen in zip(manifest["entries"], [False, True, False, True]):
+        entry["role"] = "dynamic-producing" if entry["name"] == "proj.w" else "static"
+        entry["frozen"] = frozen
+    _write_manifest(tmp_path, manifest)
+    loaded = checkpoint.load_params(tmp_path)
+    assert loaded.buffer.tobytes() == store.buffer.tobytes()
+    assert loaded.names() == store.names()
+    assert [loaded.is_trainable(n) for n in loaded] == [store.is_trainable(n) for n in store]
+    assert loaded.frozen_names() == []
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -144,8 +166,6 @@ def test_entry_missing_key_named(tmp_path, key):
         ("shape", [3, -1]),
         ("dtype", ["f64"]),
         ("trainable", "yes"),
-        ("frozen", 1),
-        ("role", 0),
     ],
 )
 def test_entry_bad_value_named(tmp_path, key, value):
@@ -204,7 +224,8 @@ _JSON = st.recursive(
                                                                max_size=3),
     max_leaves=6,
 )
-_ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes", "trainable", "role", "frozen")
+_ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes", "trainable")
+_LEGACY_KEYS = ("role", "frozen")  # in manifests written before the one tag; ignored
 
 
 @st.composite
@@ -216,7 +237,7 @@ def _fuzzed_manifests(draw, valid):
     manifest = json.loads(json.dumps(valid))
     for _ in range(draw(st.integers(0, 3))):
         entry = manifest["entries"][draw(st.integers(0, len(manifest["entries"]) - 1))]
-        key = draw(st.sampled_from(_ENTRY_KEYS))
+        key = draw(st.sampled_from(_ENTRY_KEYS + _LEGACY_KEYS))
         if draw(st.booleans()):
             entry.pop(key, None)
         else:

@@ -24,6 +24,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_capped(*argv):
+    """dppnet as a child process whose address space alone is capped at 3 GiB."""
+    resource = pytest.importorskip("resource")
+    cap = 3 * 2**30
+    env = {**os.environ, "PYTHONPATH": str(Path(dppnet.encoder.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "dppnet.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=300, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
 @pytest.fixture(scope="module")
 def tiny_data_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
@@ -219,6 +229,30 @@ class TestTrainCommand:
         assert (code, stdout) == (1, "")
         (line,) = err.splitlines()
         assert named in json.loads(line)["error"]["message"]
+        assert not out.exists()
+
+    def test_validation_split_narrower_than_training_is_refused(self, capsys, tiny_data_dir,
+                                                                 tmp_path, monkeypatch):
+        # refused before any step; it used to train an epoch, then fail as a ShapeError
+        data = shutil.copytree(tiny_data_dir, tmp_path / "data")
+        rows = [json.loads(l) for l in (data / "val.jsonl").read_text().splitlines()]
+        width = len(rows[0]["features"])
+        (data / "val.jsonl").write_text(
+            "".join(json.dumps({**r, "features": r["features"][:-1]}) + "\n" for r in rows))
+
+        def step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(dppnet.model, "loss_and_grads", step)
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "train", "--data", str(data), "--out", str(out),
+                                    "--max-epochs", "1")
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "DataFormatError"
+        assert "validation" in error["message"]
+        assert f"{width - 1}" in error["message"] and f"{width}" in error["message"]
         assert not out.exists()
 
 
@@ -513,20 +547,41 @@ class TestErrorSurface:
         argv = ["eval", "--data", str(tiny_data_dir / "test.jsonl"), "--checkpoint"]
         assert run_cli(capsys, *argv, str(ckpt)) == run_cli(capsys, *argv, str(tiny_checkpoint))
 
-    def test_out_of_memory_is_one_error_line(self):
-        # hash-stats sizes its hash codes from K before any size check; the
-        # address-space cap applies to the child process alone
-        resource = pytest.importorskip("resource")
-        cap = 3 * 2**30
-        env = {**os.environ, "PYTHONPATH": str(Path(dppnet.encoder.__file__).parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-m", "dppnet.cli", "hash-stats", "--m", "4", "--n", "4",
-             "--k", "4000000000"],
-            capture_output=True, text=True, env=env, timeout=300,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    def test_out_of_memory_is_one_error_line(self, tiny_data_dir, tmp_path):
+        # a 1.91 GiB store is under model.MAX_PARAM_BYTES, but its proj.w draw
+        # does not fit beside it under the cap
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"num_candidates": 4000000, "hidden_dim": 64}}))
+        out = tmp_path / "model"
+        run = run_capped("train", "--config", str(cfg), "--data", str(tiny_data_dir),
+                         "--out", str(out), "--max-epochs", "1")
         assert (run.returncode, run.stdout) == (1, "")
         (line,) = run.stderr.splitlines()
         assert json.loads(line)["error"]["type"] == "MemoryError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes, flag", [
+        (("--m", "4", "--n", "4", "--k", "4000000000"), "--k"),
+        (("--m", "2147483647", "--n", "2147483647", "--k", "8"), "--n"),
+    ], ids=["k", "n"])
+    def test_hash_stats_sizes_are_checked_before_allocating(self, sizes, flag):
+        # each used to end in a MemoryError under the cap: a 59.6 GiB code
+        # table for --k, a 16 GiB hash row for --n
+        run = run_capped("hash-stats", *sizes)
+        assert (run.returncode, run.stdout) == (1, "")
+        (line,) = run.stderr.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(flag)
+
+    def test_hash_stats_at_its_size_bounds(self, capsys):
+        from dppnet import cli, hashing
+
+        for sizes in (("--m", "1", "--n", str(hashing.BLOCK_BUDGET), "--k", "8"),
+                      ("--m", "1", "--n", "1", "--k", str(cli.MAX_STATS_CANDIDATES))):
+            code, out, _ = run_cli(capsys, "hash-stats", *sizes)
+            assert code == 0
+            assert json.loads(out)["grid_size"] == int(sizes[3])
 
     def test_empty_config_path_is_refused(self, capsys, tiny_data_dir, tmp_path):
         # "" names no file: it must not mean "no config"
@@ -543,17 +598,11 @@ class TestErrorSurface:
     def test_model_too_large_to_allocate_is_refused(self, tiny_data_dir, tmp_path):
         # proj.w alone would be 2.98 TiB: refused from the widths, before any
         # allocation, in a child whose address space is capped at 3 GiB
-        resource = pytest.importorskip("resource")
-        cap = 3 * 2**30
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"num_candidates": 100000000, "hidden_dim": 4096}}))
         out = tmp_path / "model"
-        env = {**os.environ, "PYTHONPATH": str(Path(dppnet.encoder.__file__).parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-m", "dppnet.cli", "train", "--config", str(cfg),
-             "--data", str(tiny_data_dir), "--out", str(out), "--max-epochs", "1"],
-            capture_output=True, text=True, env=env, timeout=300,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        run = run_capped("train", "--config", str(cfg), "--data", str(tiny_data_dir),
+                         "--out", str(out), "--max-epochs", "1")
         assert (run.returncode, run.stdout) == (1, "")
         (line,) = run.stderr.splitlines()
         error = json.loads(line)["error"]
@@ -668,7 +717,7 @@ class TestBoundaryRejections:
 
         monkeypatch.setattr(hashing, "hash_stats", walk)
         code, out, err = run_cli(
-            capsys, "hash-stats", "--m", "70000", "--n", "70000", "--k", "2",
+            capsys, "hash-stats", "--m", "4900000", "--n", "1000", "--k", "2",
             "--materialize-candidates", "[1, 2]",
         )
         assert code == 1
@@ -782,6 +831,21 @@ class TestCheckpointManifestThroughCli:
         error = json.loads(err)["error"]
         assert error["type"] == "CheckpointError"
         assert named in error["message"]
+
+    def test_legacy_role_and_frozen_tags_change_nothing(self, capsys, tmp_path, tiny_data_dir,
+                                                        tiny_checkpoint):
+        # every manifest written before the one tag holds both keys on every entry
+        ckpt = shutil.copytree(tiny_checkpoint, tmp_path / "ckpt")
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        for entry in manifest["entries"]:
+            entry["role"] = "static"
+            entry["frozen"] = entry["name"].startswith("adapter.")
+        (ckpt / "manifest.json").write_text(json.dumps(manifest, indent=1))
+        data = str(tiny_data_dir / "test.jsonl")
+        for argv in (["eval", "--data", data], ["predict", "--data", data]):
+            got = run_cli(capsys, *argv, "--checkpoint", str(ckpt))
+            assert got[0] == 0
+            assert got == run_cli(capsys, *argv, "--checkpoint", str(tiny_checkpoint))
 
 
 class TestJsonFilesThroughCli:

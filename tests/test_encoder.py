@@ -260,11 +260,11 @@ class TestPretrained:
 
     def build_encoder_store(self, rng, vocab=7, embed=4, hidden=5):
         store = ParamStore("f64")
-        store.add("embed.table", rng.normal(size=(vocab, embed)), role="dynamic-producing")
+        store.add("embed.table", rng.normal(size=(vocab, embed)))
         for k in ("w_r", "w_z", "w_h"):
-            store.add(f"gru.{k}", rng.normal(size=(hidden, embed)), role="dynamic-producing")
+            store.add(f"gru.{k}", rng.normal(size=(hidden, embed)))
         for k in ("u_r", "u_z", "u_h"):
-            store.add(f"gru.{k}", rng.normal(size=(hidden, hidden)), role="dynamic-producing")
+            store.add(f"gru.{k}", rng.normal(size=(hidden, hidden)))
         return store
 
     def test_round_trip_bit_identical(self, tmp_path):

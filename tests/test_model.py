@@ -216,14 +216,6 @@ class TestParameterAccounting:
         assert "dyn.w" not in toy_store
         assert "candidates" not in toy_store
 
-    def test_dynamic_producing_roles(self, toy_cfg, toy_store):
-        producing = {n for n in toy_store.names()
-                     if toy_store.role(n) == "dynamic-producing"}
-        assert producing == {
-            "embed.table", "gru.w_r", "gru.w_z", "gru.w_h",
-            "gru.u_r", "gru.u_z", "gru.u_h", "proj.w",
-        }
-
     def test_optimizer_only_writes_static_and_producing_params(self, toy_cfg, toy_store):
         rng = np.random.default_rng(10)
         feats, tokens = toy_batch(toy_cfg, rng, batch=4)

@@ -270,20 +270,19 @@ class TestParamStore:
         assert store.buffer.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_layout_allocates_zeros_in_order(self):
-        store = ParamStore("f64", [("a", (2, 3), {}), ("b", (4,), {"trainable": False}),
-                                   ("c", (), {"role": "dynamic-producing"})])
+        store = ParamStore("f64", [("a", (2, 3), True), ("b", (4,), False), ("c", (), True)])
         assert store.names() == ["a", "b", "c"]
         assert [store.span(n) for n in store] == [(0, 6), (6, 10), (10, 11)]
         assert store.buffer.shape == (11,) and not store.buffer.any()
-        assert store.updatable_names() == ["a", "c"] and store.role("c") == "dynamic-producing"
+        assert store.updatable_names() == ["a", "c"]
         with pytest.raises(ConfigError, match="duplicate"):
-            ParamStore("f64", [("a", (1,), {}), ("a", (2,), {})])
+            ParamStore("f64", [("a", (1,), True), ("a", (2,), True)])
 
-    def test_roles_and_trainable_tags(self):
+    def test_trainable_tags(self):
         store = ParamStore()
-        store.add("proj.w", np.zeros(1), role="dynamic-producing")
+        store.add("proj.w", np.zeros(1))
         store.add("bn.running_mean", np.zeros(1), trainable=False)
-        assert store.role("proj.w") == "dynamic-producing"
+        assert store.is_trainable("proj.w")
         assert not store.is_trainable("bn.running_mean")
         assert "bn.running_mean" not in store.updatable_names()
 

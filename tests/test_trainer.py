@@ -482,7 +482,7 @@ class TestTrainLoop:
         enc_store = ParamStore("f64")
         for name in ("embed.table", "gru.w_r", "gru.w_z", "gru.w_h",
                      "gru.u_r", "gru.u_z", "gru.u_h"):
-            enc_store.add(name, base.store[name], role="dynamic-producing")
+            enc_store.add(name, base.store[name])
         ckpt.save_params(enc_store, enc_dir)
         import json
 
