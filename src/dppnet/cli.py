@@ -222,6 +222,12 @@ def _load_predictions_file(path, examples):
 def cmd_eval(args) -> int:
     if bool(args.checkpoint) == bool(args.predictions):
         raise ConfigError("eval needs exactly one of --checkpoint or --predictions")
+    # flags eval would ignore: a predictions file holds its answers already
+    if args.multiple_choice and args.predictions:
+        raise ConfigError("--multiple-choice restricts a --checkpoint's answers; "
+                          "it does not apply to --predictions")
+    if args.wups_threshold and not args.taxonomy:
+        raise ConfigError("--wups-threshold needs --taxonomy, which enables WUPS")
     examples = load_jsonl(_resolve_data(args.data))
     if not examples:
         raise DataFormatError("evaluation dataset is empty")
@@ -267,6 +273,9 @@ def cmd_gradcheck(args) -> int:
 
 # hash-stats holds a few 2K-long arrays and reports K bucket loads
 MAX_STATS_CANDIDATES = 1 << 20
+# it hashes every position of the M x N grid: 2^28 positions (16384 x 16384)
+# took 11.3 s, about 24 M a second, on one core of a 2-core x86 host
+MAX_STATS_POSITIONS = 1 << 28
 
 
 def cmd_hash_stats(args) -> int:
@@ -293,6 +302,10 @@ def cmd_hash_stats(args) -> int:
         candidates = validate_features(values, "--materialize-candidates")
         # before hash_stats, which walks the whole grid the size guard may refuse
         materialized = materialize_weights(candidates, spec).tolist()
+    # materialize_weights' own guard keeps its grid far below this bound
+    if args.m * args.n > MAX_STATS_POSITIONS:
+        raise ConfigError(f"--m {args.m} x --n {args.n} is {args.m * args.n:,} positions; "
+                          f"hash-stats walks at most {MAX_STATS_POSITIONS:,}")
     report = hashing.hash_stats(spec)
     if materialized is not None:
         report["materialized"] = materialized

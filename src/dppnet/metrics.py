@@ -119,10 +119,14 @@ def wu_palmer(a: str, b: str, taxonomy: Taxonomy) -> float:
     return best
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise DataFormatError(f"threshold must be in [0, 1], got {threshold}")
+
+
 def thresholded_mu(a: str, t: str, taxonomy: Taxonomy, threshold: float) -> float:
     """Wu-Palmer similarity, down-weighted by 0.1 below the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise DataFormatError(f"threshold must be in [0, 1], got {threshold}")
+    _check_threshold(threshold)
     sim = wu_palmer(a, t, taxonomy)
     return sim if sim >= threshold else DOWNWEIGHT * sim
 
@@ -151,7 +155,9 @@ def wups(records, taxonomy: Taxonomy, threshold: float) -> WupsReport:
     Per record, every predicted answer is scored against its best ground
     truth and vice versa; the two max-products are combined pessimistically
     (min) and averaged over records.  A record with no predictions scores 0.
+    The threshold is checked first, whether or not a record has predictions.
     """
+    _check_threshold(threshold)
     records = list(records)
     if not records:
         raise DataFormatError("wups needs at least one record")

@@ -247,19 +247,18 @@ def forward(cfg: ModelConfig, store: ParamStore, features, tokens, mode="eval"):
     return softmax(caches["logits"]), caches
 
 
-def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
-    """Gradients of the loss w.r.t. the parameters a step updates,
-    store.updatable_names(), each with the bits it has when nothing is frozen.
+def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits, frozen=()) -> dict:
+    """Gradients of the loss w.r.t. the trainable tensors outside the frozen
+    branches (name prefixes before the first dot), in the order they are
+    formed, each with the bits it has when nothing is frozen.
 
-    A branch none of whose tensors is updatable is not run: with the adapter
-    frozen, the dynamic layer's input gradient (the concat mixer's adapter
-    slice) and the adapter's backward; with the embedding and GRU frozen, the
-    GRU's backward through time and the embedding scatter.
+    A frozen branch is not run: with the adapter frozen, the dynamic layer's
+    input gradient (the concat mixer's adapter slice) and the adapter's
+    backward; with the embedding and GRU frozen, the GRU's backward through
+    time and the embedding scatter.
     """
-    live = set(store.updatable_names())
-    branches = {name.split(".")[0] for name in live}
-    adapter = ADAPTER_PREFIX in branches
-    encoder = not branches.isdisjoint(ENCODER_PREFIXES)
+    adapter = ADAPTER_PREFIX not in frozen
+    encoder = not set(ENCODER_PREFIXES) <= set(frozen)
     grads: dict[str, np.ndarray] = {}
     r_out = caches["r_out"]
     grads["cls.w"] = matmul(dlogits.T, r_out)
@@ -301,14 +300,16 @@ def backward(cfg: ModelConfig, store: ParamStore, caches, dlogits) -> dict:
         grads["embed.table"] = enc.embed_backward(tokens, dx_seq, store["embed.table"].shape[0])
     if adapter:
         _adapter_backward(store, caches["features"], caches["h1"], caches["f_in"], d_fin, grads)
-    return {name: g for name, g in grads.items() if name in live}
+    return {name: g for name, g in grads.items() if name.split(".")[0] not in frozen}
 
 
-def loss_and_grads(cfg: ModelConfig, store: ParamStore, features, tokens, targets, mode="train"):
-    """Mean cross-entropy and backward's gradients; returns (loss, caches, grads)."""
+def loss_and_grads(cfg: ModelConfig, store: ParamStore, features, tokens, targets, mode="train",
+                   frozen=()):
+    """Mean cross-entropy and backward's gradients outside the frozen
+    branches; returns (loss, caches, grads)."""
     _, caches = forward(cfg, store, features, tokens, mode)
     loss, dlogits = softmax_xent(caches["logits"], targets)
-    grads = backward(cfg, store, caches, dlogits)
+    grads = backward(cfg, store, caches, dlogits, frozen)
     return loss, caches, grads
 
 

@@ -182,16 +182,15 @@ def batchnorm_backward(cache, dy: np.ndarray):
 
 
 class ParamStore:
-    """Named parameter tensors, each tagged trainable or not, and a live
-    frozen set.
+    """Named parameter tensors, each tagged trainable or not.
 
     Every tensor is a view of one contiguous buffer, in declaration order:
     whole-store passes (an optimizer step, a copy, a checkpoint) run over
     spans of `buffer`.  Assignment writes into the view, so a view stays
     live; add appends by reallocating the buffer, after which views taken
-    before it are stale.  Dynamic weights are never stored here.  A
-    checkpoint keeps the trainable tag alone: the frozen set is training
-    state, and log.jsonl records what each epoch froze.
+    before it are stale.  Dynamic weights are never stored here, and neither
+    is what a training step leaves frozen: trainer.ScheduleController holds
+    that.
     """
 
     def __init__(self, precision: str = "f64", layout=()):
@@ -200,7 +199,6 @@ class ParamStore:
         self.buffer = np.zeros(0, dtype=np_dtype(precision))
         self._slots: dict[str, tuple[int, int, tuple]] = {}  # (start, stop, shape) in buffer
         self._trainable: dict[str, bool] = {}
-        self._frozen: set[str] = set()
         self._extend(layout)
 
     def _extend(self, layout):
@@ -248,22 +246,3 @@ class ParamStore:
 
     def is_trainable(self, name: str) -> bool:
         return self._trainable[name]
-
-    def freeze(self, prefix: str):
-        """Freeze all parameters whose name equals or starts with prefix."""
-        hits = [n for n in self._params if n == prefix or n.startswith(prefix + ".")]
-        if not hits:
-            raise ConfigError(f"freeze: no parameter matches {prefix!r}")
-        self._frozen.update(hits)
-
-    def unfreeze(self, prefix: str):
-        hits = [n for n in self._frozen if n == prefix or n.startswith(prefix + ".")]
-        for n in hits:
-            self._frozen.discard(n)
-
-    def frozen_names(self) -> list[str]:
-        return sorted(self._frozen)
-
-    def updatable_names(self) -> list[str]:
-        """Parameters an optimizer step may write."""
-        return [n for n in self._params if self._trainable[n] and n not in self._frozen]

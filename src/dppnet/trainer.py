@@ -1,11 +1,13 @@
 """Training loop: Adam with global-norm clipping, early stopping, staged
 adapter unfreezing, and permanent encoder freezing on overfit.
 
-Each step hands model.backward's gradients to one call, adam_step.  It copies
-them into one vector laid out like the store's buffer (AdamState.gather),
-then clips it and updates the parameters in place: passes over the few runs
-of updatable entries, each one IEEE operation of the per-tensor expressions
-in their order, so they keep the bits of a per-tensor update.
+ScheduleController decides which branches a step leaves frozen, and
+model.backward forms no gradient for them.  Each step hands the gradients it
+does form to one call, adam_step.  It copies them into one vector laid out
+like the store's buffer (AdamState.gather), then clips it and updates those
+tensors in place: passes over the few runs of entries they fill, each one
+IEEE operation of the per-tensor expressions in their order, so they keep the
+bits of a per-tensor update.
 
 Everything is seeded and reduction orders are fixed, so two runs with the
 same seed produce bit-identical logs at 64-bit precision, apart from each
@@ -51,9 +53,9 @@ def clip_gradients(grads: Gradients, threshold: float) -> float:
     threshold; returns the pre-clip norm.
 
     The norm adds each tensor's sum of squares in grads' order: the bits of a
-    per-tensor sum.  adam_step passes model.backward's gradients of the
-    tensors the step updates, so a frozen tensor counts in neither the norm
-    nor the clipping (Pascanu et al., arXiv:1211.5063, rescale the applied
+    per-tensor sum.  adam_step passes model.backward's gradients, which
+    leave out the frozen branches, so a frozen tensor counts in neither the
+    norm nor the clipping (Pascanu et al., arXiv:1211.5063, rescale the applied
     update).
     """
     if threshold <= 0:
@@ -76,8 +78,8 @@ class AdamState:
     """Adam's settings, step count and flat vectors: the rows of vectors are
     the moments m and v, the gathered gradient g and a scratch s, laid out
     like the store's buffer from its first entry ever updated, start.  So a
-    frozen prefix (the adapter) holds no moments until it unfreezes.  The
-    default clip_threshold never clips."""
+    tensor no step has handed a gradient (the frozen adapter) holds no
+    moments until one does.  The default clip_threshold never clips."""
 
     lr: float = 0.01
     beta1: float = 0.9
@@ -89,10 +91,13 @@ class AdamState:
     vectors: np.ndarray | None = None
 
     def gather(self, store: ParamStore, grads: dict) -> Gradients:
-        """The gradients of store's updatable tensors, copied into g in grads'
-        order; the others are dropped."""
-        live = set(store.updatable_names())
-        spans = {n: store.span(n) for n in grads if n in live}
+        """grads copied into g in their order; a gradient that is not one of
+        a trainable tensor of store, at its shape, is a ConfigError."""
+        for name in grads:
+            if name not in store or not store.is_trainable(name):
+                raise ConfigError(f"gradient for {name!r}, which is no trainable tensor "
+                                  "of the store")
+        spans = {n: store.span(n) for n in grads}
         size = store.buffer.size
         start = min((a for a, _ in spans.values()), default=size)
         if self.vectors is None or start < self.start:
@@ -115,15 +120,14 @@ class AdamState:
 
 
 def adam_step(store: ParamStore, grads: dict, state: AdamState) -> float:
-    """One clipped, bias-corrected moment update of every updatable parameter
-    that has a gradient, in place, pass by pass over the runs of the buffer
-    they fill; returns the pre-clip global norm.
+    """One clipped, bias-corrected moment update of exactly the tensors grads
+    names, in place, pass by pass over the runs of the buffer they fill;
+    returns the pre-clip global norm.
 
     grads (model.backward's) are gathered into state, then clipped to
-    state.clip_threshold.  Frozen and non-trainable parameters are
-    untouched: values and moments.  Each pass is one IEEE operation of the
-    per-tensor expressions, in their order (m = b1*m + (1-b1)*g, ...), so the
-    bits are theirs.
+    state.clip_threshold.  Every other tensor is untouched: values and
+    moments.  Each pass is one IEEE operation of the per-tensor expressions,
+    in their order (m = b1*m + (1-b1)*g, ...), so the bits are theirs.
     """
     grads = state.gather(store, grads)
     norm = clip_gradients(grads, state.clip_threshold)
@@ -153,16 +157,17 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> float:
 class EpochDecision:
     improved: bool
     stop: bool
-    unfreeze_adapter: bool
-    freeze_encoder: bool
 
 
 class ScheduleController:
-    """Pure early-stop / unfreeze / overfit-freeze rule, fed one epoch at a time.
+    """Pure early-stop / unfreeze / overfit-freeze rule, fed one epoch at a
+    time, and the one holder of the frozen set.
 
-    Staleness counts epochs since the best validation accuracy, or since the
-    adapter unfroze if later.  The adapter unfreezes once staleness reaches
-    unfreeze_patience (if staged), the encoder freezes for good after
+    frozen is the branch prefixes the next epoch's steps leave frozen, for
+    model.backward: the adapter's at first, and the encoder's once it
+    freezes.  Staleness counts epochs since the best validation accuracy, or
+    since the adapter unfroze if later.  The adapter unfreezes once staleness
+    reaches unfreeze_patience (if staged), the encoder freezes for good after
     overfit_epochs consecutive epochs with train - val accuracy above
     overfit_gap, and training stops at patience.
     """
@@ -170,8 +175,7 @@ class ScheduleController:
     def __init__(self, schedule: TrainSchedule, staged: bool = True):
         self.schedule = schedule
         self.staged = staged
-        self.adapter_frozen = True
-        self.encoder_frozen = False
+        self.frozen = (mdl.ADAPTER_PREFIX,)
         self.best_val = -math.inf
         self.best_epoch = 0
         self.stale = 0
@@ -185,27 +189,19 @@ class ScheduleController:
             self.stale = 0
         else:
             self.stale += 1
-        unfreeze = (
-            self.staged
-            and self.adapter_frozen
-            and self.stale >= self.schedule.unfreeze_patience
-        )
-        if unfreeze:
-            self.adapter_frozen = False
+        adapter, encoder = mdl.ADAPTER_PREFIX, mdl.ENCODER_PREFIXES
+        if (self.staged and adapter in self.frozen
+                and self.stale >= self.schedule.unfreeze_patience):
+            self.frozen = tuple(p for p in self.frozen if p != adapter)
             self.stale = 0
         if train_acc - val_acc > self.schedule.overfit_gap:
             self.overfit_run += 1
         else:
             self.overfit_run = 0
-        freeze_enc = not self.encoder_frozen and self.overfit_run >= self.schedule.overfit_epochs
-        if freeze_enc:
-            self.encoder_frozen = True
-        return EpochDecision(
-            improved=improved,
-            stop=self.stale >= self.schedule.patience,
-            unfreeze_adapter=unfreeze,
-            freeze_encoder=freeze_enc,
-        )
+        if (self.overfit_run >= self.schedule.overfit_epochs
+                and not set(encoder) <= set(self.frozen)):
+            self.frozen += encoder  # for good
+        return EpochDecision(improved=improved, stop=self.stale >= self.schedule.patience)
 
 
 @dataclass
@@ -328,7 +324,6 @@ def train(run_config: RunConfig, train_examples, val_examples,
     # the frozen-trunk ablations never unfreeze; the full model and the
     # concat baseline follow the staged schedule
     controller = ScheduleController(schedule, cfg.variant not in ("cnn-fixed", "rand-gru"))
-    store.freeze(mdl.ADAPTER_PREFIX)
     adam = AdamState(lr=schedule.lr, beta1=schedule.beta1, beta2=schedule.beta2,
                      eps=schedule.adam_eps, clip_threshold=schedule.clip_threshold)
     rng = np.random.default_rng(schedule.seed)
@@ -348,7 +343,8 @@ def train(run_config: RunConfig, train_examples, val_examples,
         try:
             for rows in train_batches(train_data, schedule.batch_size, rng):
                 feats, tokens, targets = _gather(train_data, rows)
-                loss, caches, grads = mdl.loss_and_grads(cfg, store, feats, tokens, targets)
+                loss, caches, grads = mdl.loss_and_grads(cfg, store, feats, tokens, targets,
+                                                         frozen=controller.frozen)
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"training loss {loss}")
                 # only a step that is taken advances the batch-norm running stats
@@ -373,7 +369,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
                 "train_acc": train_acc,
                 "val_acc": val_acc,
                 "lr": schedule.lr,
-                "frozen": store.frozen_names(),
+                "frozen": sorted(n for n in store if n.split(".")[0] in controller.frozen),
                 "grad_norm_mean": math.fsum(grad_norms) / len(grad_norms),
                 "grad_norm_max": max(grad_norms),
                 "clipped_fraction": sum(n > schedule.clip_threshold for n in grad_norms)
@@ -387,11 +383,6 @@ def train(run_config: RunConfig, train_examples, val_examples,
         decision = controller.update(epoch, train_acc, val_acc)
         if decision.improved:
             best_values = store.buffer.copy()
-        if decision.unfreeze_adapter:
-            store.unfreeze(mdl.ADAPTER_PREFIX)
-        if decision.freeze_encoder:
-            for prefix in mdl.ENCODER_PREFIXES:
-                store.freeze(prefix)
         if decision.stop:
             break
 

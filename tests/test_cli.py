@@ -18,10 +18,35 @@ from dppnet.cli import main
 from dppnet.data import GenConfig, generate_synthetic, save_jsonl
 
 
+def strict_json(text: str):
+    """text as one JSON document; the NaN and Infinity json.loads accepts are
+    not JSON, and raise."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def check_stdout(argv, out: str) -> None:
+    """out holds one JSON document, or for predict one per line."""
+    for doc in out.splitlines() if argv[0] == "predict" else [out]:
+        strict_json(doc)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out:
+        check_stdout(argv, captured.out)
     return code, captured.out, captured.err
+
+
+def refused(code, out, err) -> dict:
+    """The error object of a run that exits 1 with nothing on stdout and one
+    {"error": ...} line on stderr."""
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    return json.loads(line)["error"]
 
 
 def run_capped(*argv):
@@ -343,6 +368,47 @@ class TestEvalCommand:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ConfigError"
 
+    @pytest.fixture
+    def three_rows(self, tmp_path, tiny_data_dir):
+        """(data, predictions, choices) files over three test rows: every
+        prediction is right, and no choice is in the answer space."""
+        lines = (tiny_data_dir / "test.jsonl").read_text().splitlines()[:3]
+        data, preds, choices = (tmp_path / f"{name}.jsonl" for name in "dpc")
+        data.write_text("\n".join(lines) + "\n")
+        preds.write_text("".join(json.dumps({"id": i, "answer": json.loads(line)["answers"][0]})
+                                 + "\n" for i, line in enumerate(lines)))
+        choices.write_text("".join(json.dumps({"id": i, "answers": ["zebra"]}) + "\n"
+                                   for i in range(3)))
+        return data, preds, choices
+
+    def test_multiple_choice_with_predictions_is_refused(self, capsys, three_rows):
+        # the choices would go unread while the report says multiple_choice
+        data, preds, choices = three_rows
+        error = refused(*run_cli(capsys, "eval", "--predictions", str(preds), "--data", str(data),
+                                 "--multiple-choice", str(choices)))
+        assert error["type"] == "ConfigError"
+        assert "--multiple-choice" in error["message"] and "--predictions" in error["message"]
+
+    def test_wups_threshold_without_taxonomy_is_refused(self, capsys, three_rows):
+        data, preds, _ = three_rows
+        error = refused(*run_cli(capsys, "eval", "--predictions", str(preds), "--data", str(data),
+                                 "--wups-threshold", "0.5"))
+        assert error["type"] == "ConfigError"
+        assert "--wups-threshold" in error["message"] and "--taxonomy" in error["message"]
+
+    @pytest.mark.parametrize("threshold", ["1.5", "nan"])
+    def test_wups_threshold_checked_with_no_prediction_to_score(
+        self, capsys, three_rows, tiny_checkpoint, toy_taxonomy_path, threshold
+    ):
+        # no choice is in the answer space, so no record holds a prediction
+        data, _, choices = three_rows
+        error = refused(*run_cli(
+            capsys, "eval", "--checkpoint", str(tiny_checkpoint), "--data", str(data),
+            "--multiple-choice", str(choices), "--taxonomy", str(toy_taxonomy_path),
+            "--wups-threshold", "0.5", "--wups-threshold", threshold))
+        assert error["type"] == "DataFormatError"
+        assert "threshold" in error["message"]
+
 
 class TestPredictCommand:
     def test_jsonl_predictions(self, capsys, tiny_data_dir, tiny_checkpoint):
@@ -573,6 +639,23 @@ class TestErrorSurface:
         error = json.loads(line)["error"]
         assert error["type"] == "ConfigError"
         assert error["message"].startswith(flag)
+
+    def test_hash_stats_work_is_bounded(self, capsys, monkeypatch):
+        # --m 1000000 --n 32768 would walk 3.3e10 positions, about 24 minutes
+        from dppnet import cli, hashing
+
+        walked = []
+        monkeypatch.setattr(hashing, "hash_stats", lambda spec: walked.append(spec) or {})
+        n = hashing.BLOCK_BUDGET
+        for m in (1000000, cli.MAX_STATS_POSITIONS // n + 1):
+            error = refused(*run_cli(capsys, "hash-stats", "--m", str(m), "--n", str(n),
+                                     "--k", "8"))
+            assert error["type"] == "ConfigError"
+            assert error["message"].startswith(f"--m {m} x --n {n}")
+        assert walked == []
+        m = cli.MAX_STATS_POSITIONS // n
+        assert run_cli(capsys, "hash-stats", "--m", str(m), "--n", str(n), "--k", "8")[0] == 0
+        assert [(s.out_dim, s.in_dim) for s in walked] == [(m, n)]
 
     def test_hash_stats_at_its_size_bounds(self, capsys):
         from dppnet import cli, hashing
@@ -1082,10 +1165,9 @@ class TestCliContract:
                 lines = err.splitlines()
                 assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
             elif code == 1:  # train's documented abort: its result, marked aborted
-                assert json.loads(out)["aborted"] is True
+                assert strict_json(out)["aborted"] is True
             else:
-                for doc in out.splitlines() if argv[0] == "predict" else [out]:
-                    json.loads(doc)
+                check_stdout(argv, out)
 
         run()
 

@@ -108,6 +108,12 @@ class TestThresholdedMu:
         with pytest.raises(DataFormatError):
             thresholded_mu("cat", "dog", toy, 1.5)
 
+    @pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
+    def test_wups_checks_the_threshold_before_any_record(self, toy, threshold):
+        # a record with no prediction never reaches thresholded_mu
+        with pytest.raises(DataFormatError, match="threshold"):
+            wups([([], ["cat"])], toy, threshold)
+
 
 def brute_force_record(preds, truths, tax, threshold):
     forward = 1.0

@@ -228,23 +228,6 @@ class TestParamStore:
         with pytest.raises(ShapeError):
             store["w"] = np.zeros(3)
 
-    def test_freeze_by_prefix(self):
-        store = ParamStore()
-        store.add("gru.w_r", np.zeros(1))
-        store.add("gru.u_r", np.zeros(1))
-        store.add("cls.w", np.zeros(1))
-        store.freeze("gru")
-        assert store.frozen_names() == ["gru.u_r", "gru.w_r"]
-        assert store.updatable_names() == ["cls.w"]
-        store.unfreeze("gru")
-        assert store.frozen_names() == []
-
-    def test_freeze_unknown_prefix_rejected(self):
-        store = ParamStore()
-        store.add("w", np.zeros(1))
-        with pytest.raises(ConfigError):
-            store.freeze("nope")
-
     def test_tensors_are_live_views_of_one_buffer(self):
         from dppnet.trainer import AdamState, adam_step
 
@@ -274,7 +257,7 @@ class TestParamStore:
         assert store.names() == ["a", "b", "c"]
         assert [store.span(n) for n in store] == [(0, 6), (6, 10), (10, 11)]
         assert store.buffer.shape == (11,) and not store.buffer.any()
-        assert store.updatable_names() == ["a", "c"]
+        assert [n for n in store if store.is_trainable(n)] == ["a", "c"]
         with pytest.raises(ConfigError, match="duplicate"):
             ParamStore("f64", [("a", (1,), True), ("a", (2,), True)])
 
@@ -284,7 +267,6 @@ class TestParamStore:
         store.add("bn.running_mean", np.zeros(1), trainable=False)
         assert store.is_trainable("proj.w")
         assert not store.is_trainable("bn.running_mean")
-        assert "bn.running_mean" not in store.updatable_names()
 
 
 def two_branch_sigmoid(x):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,25 +103,37 @@ class TestAdam:
             prev = store["w"][0]
 
     def test_frozen_parameter_bit_identical(self):
+        # a tensor left out of grads keeps its value and moments, and resumes
+        # from them when handed in again
         store = ParamStore()
         store.add("w", np.array([1.0]))
         store.add("frozen.w", np.array([2.0]))
         state = AdamState()
         adam_step(store, {"w": np.ones(1), "frozen.w": np.full(1, 0.5)}, state)
-        store.freeze("frozen.w")
         raw = store["frozen.w"].tobytes()
         for _ in range(5):
-            adam_step(store, {"w": np.ones(1), "frozen.w": np.ones(1)}, state)
+            adam_step(store, {"w": np.ones(1)}, state)
         assert store["frozen.w"].tobytes() == raw
         assert store["w"][0] != 1.0
-        # untouched moments: once unfrozen, step 7 starts from the moments of step 1
-        store.unfreeze("frozen.w")
+        # untouched moments: handed in again, step 7 starts from the moments of step 1
         adam_step(store, {"w": np.ones(1), "frozen.w": np.full(1, 0.25)}, state)
         b1, b2, g1, g7 = state.beta1, state.beta2, np.full(1, 0.5), np.full(1, 0.25)
         m = b1 * ((1.0 - b1) * g1) + (1.0 - b1) * g7
         v = b2 * ((1.0 - b2) * (g1 * g1)) + (1.0 - b2) * (g7 * g7)
         step = state.lr * (m / (1.0 - b1 ** 7)) / (np.sqrt(v / (1.0 - b2 ** 7)) + state.eps)
         assert store["frozen.w"].tobytes() == (np.frombuffer(raw) - step).tobytes()
+
+    @pytest.mark.parametrize("name", ["bn.running_mean", "nope"])
+    def test_gradient_of_no_trainable_tensor_is_refused(self, name):
+        # a gradient the step cannot apply is an error, never dropped
+        store = ParamStore()
+        store.add("w", np.ones(2))
+        store.add("bn.running_mean", np.zeros(2), trainable=False)
+        before, state = store.buffer.copy(), AdamState()
+        with pytest.raises(ConfigError, match=re.escape(repr(name))):
+            adam_step(store, {"w": np.ones(2), name: np.ones(2)}, state)
+        assert store.buffer.tobytes() == before.tobytes()
+        assert state.step == 0
 
     def test_shape_mismatch_rejected(self):
         store = ParamStore()
@@ -131,8 +144,9 @@ class TestAdam:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_clip_and_step_match_a_per_tensor_reference(self, precision, monkeypatch):
         # the per-tensor expressions of the update, byte for byte, over a store
-        # that holds a frozen prefix, a frozen tensor between two updatable
-        # ones and a non-trainable one, while both unfreeze and another freezes
+        # whose gradients leave out a prefix, a tensor between two updated ones
+        # and a non-trainable one, while the first two come back and another
+        # drops out, as model.backward leaves out frozen branches
         dt = np.dtype(precision.replace("f", "float"))
         rng = np.random.default_rng(3)
         shapes = {"adapter.w": (4,), "a.w": (3, 4), "frozen.w": (5,), "b.w": (2, 3),
@@ -140,8 +154,7 @@ class TestAdam:
         store = ParamStore(precision)
         for name, shape in shapes.items():
             store.add(name, rng.normal(size=shape), trainable=name != "stats")
-        store.freeze("adapter")
-        store.freeze("frozen.w")
+        frozen = {"adapter.w", "frozen.w"}
         values = {n: store[n].copy() for n in shapes}
         m, v = {}, {}
         state = AdamState(lr=0.05, clip_threshold=1.0)
@@ -157,12 +170,12 @@ class TestAdam:
         monkeypatch.setattr(trainer, "clip_gradients", spy)
         for t in range(1, 9):
             if t == 3:
-                store.unfreeze("adapter")
+                frozen.discard("adapter.w")
             if t == 4:
-                store.unfreeze("frozen.w")
+                frozen.discard("frozen.w")
             if t == 7:
-                store.freeze("b.w")
-            live = [n for n in shapes if n not in ("stats", *store.frozen_names())]
+                frozen.add("b.w")
+            live = [n for n in shapes if n not in ("stats", *frozen)]
             # backward's order is not the buffer's; the norm adds in the given order
             grads = {n: (rng.normal(size=shapes[n]) * 10.0 ** (t % 3 - 1)).astype(dt)
                      for n in reversed(live)}
@@ -195,15 +208,12 @@ class TestAdam:
         for name, shape in shapes.items():
             store.add(name, np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape),
                       trainable=name != "bn.mean")
-        store.freeze("adapter")
         state = AdamState(lr=0.1, clip_threshold=1.0)
         rows = []
         for t in range(6):
-            if t == 3:
-                store.unfreeze("adapter")
-            live = set(store.updatable_names())  # as model.backward returns them
+            # as model.backward forms them: the adapter's once it unfreezes, at t = 3
             grads = {n: rng.normal(size=shapes[n]).astype(store.buffer.dtype)
-                     for n in ("cls.b", "cls.w", "adapter.w") if n in live}
+                     for n in ("cls.b", "cls.w", "adapter.w") if t >= 3 or n != "adapter.w"}
             adam_step(store, grads, state)
             assert state.start == (12 if t < 3 else 0)
             assert state.vectors.shape == (4, store.buffer.size - state.start)
@@ -239,13 +249,14 @@ class TestAdam:
 
 class TestScheduleController:
     def run_trace(self, ctl, accs):
-        stops = []
+        """(the stopping epoch or None, its decision, ctl.frozen after each epoch)"""
+        frozen = []
         for epoch, (tr, va) in enumerate(accs, start=1):
             d = ctl.update(epoch, tr, va)
-            stops.append(d)
+            frozen.append(ctl.frozen)
             if d.stop:
-                return epoch, d, stops
-        return None, None, stops
+                return epoch, d, frozen
+        return None, None, frozen
 
     def test_patience_rule_trace(self):
         # improving for 10 epochs, then flat: stop at 15, best at 10
@@ -260,42 +271,45 @@ class TestScheduleController:
         # staleness starts over there, so the stop comes patience epochs later
         ctl = ScheduleController(TrainSchedule(patience=5, unfreeze_patience=3))
         accs = [(0.5, i / 100) for i in range(1, 11)] + [(0.9, 0.05)] * 10
-        stopped_at, _, decisions = self.run_trace(ctl, accs)
-        assert [e for e, d in enumerate(decisions, 1) if d.unfreeze_adapter] == [13]
+        stopped_at, _, frozen = self.run_trace(ctl, accs)
+        assert ["adapter" in f for f in frozen] == [True] * 12 + [False] * 6
         assert (stopped_at, ctl.best_epoch) == (18, 10)
 
     def test_unfreezing_epoch_never_stops(self):
         # unfreeze_patience == patience: the epoch that unfreezes the adapter
         # must not also stop the run, or the unfrozen model never trains
         ctl = ScheduleController(TrainSchedule(patience=3, unfreeze_patience=3))
-        decisions = [ctl.update(e, 0.5, 0.4) for e in range(1, 8)]
-        assert [(d.unfreeze_adapter, d.stop) for d in decisions] == [
-            (False, False), (False, False), (False, False), (True, False),
-            (False, False), (False, False), (False, True)]
+        trace = [(ctl.update(e, 0.5, 0.4).stop, ctl.frozen) for e in range(1, 8)]
+        assert trace == [(False, ("adapter",))] * 3 + [(False, ())] * 3 + [(True, ())]
 
     def test_adapter_unfreezes_on_saturation(self):
         ctl = ScheduleController(TrainSchedule(patience=5, unfreeze_patience=3))
-        decisions = [ctl.update(e, 0.5, 0.4) for e in range(1, 5)]
+        assert ctl.frozen == ("adapter",)
+        _, _, frozen = self.run_trace(ctl, [(0.5, 0.4)] * 4)
         # epoch 1 improves (from -inf); epochs 2-4 are stale; stale hits 3 at epoch 4
-        assert [d.unfreeze_adapter for d in decisions] == [False, False, False, True]
-        assert not ctl.adapter_frozen
+        assert frozen == [("adapter",)] * 3 + [()]
 
     def test_never_policy_keeps_adapter_frozen(self):
         ctl = ScheduleController(TrainSchedule(), staged=False)
         for e in range(1, 12):
-            assert not ctl.update(e, 0.5, 0.1).unfreeze_adapter
-        assert ctl.adapter_frozen
+            ctl.update(e, 0.5, 0.1)
+            assert "adapter" in ctl.frozen
 
     def test_overfit_freeze_needs_consecutive_epochs(self):
         sched = TrainSchedule(overfit_gap=0.10, overfit_epochs=2)
         ctl = ScheduleController(sched)
-        assert not ctl.update(1, 0.9, 0.5).freeze_encoder  # first wide gap
-        assert not ctl.update(2, 0.6, 0.55).freeze_encoder  # gap closes, run resets
-        assert not ctl.update(3, 0.9, 0.5).freeze_encoder
-        assert ctl.update(4, 0.9, 0.5).freeze_encoder  # second consecutive
-        assert ctl.encoder_frozen
-        # permanent: never fires again
-        assert not ctl.update(5, 0.99, 0.2).freeze_encoder
+        ctl.update(1, 0.9, 0.5)  # first wide gap
+        ctl.update(2, 0.6, 0.55)  # gap closes, run resets
+        ctl.update(3, 0.9, 0.5)
+        assert ctl.frozen == ("adapter",)
+        ctl.update(4, 0.9, 0.5)  # second consecutive
+        assert ctl.frozen == ("adapter", "embed", "gru")
+        # permanent and added once, through the adapter's unfreeze (epoch 5) and
+        # a closed gap
+        ctl.update(5, 0.99, 0.2)
+        assert ctl.frozen == ("embed", "gru")
+        ctl.update(6, 0.2, 0.2)
+        assert ctl.frozen == ("embed", "gru")
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +428,7 @@ class TestTrainLoop:
         for module, name in ((mdl, "loss_and_grads"), (trainer, "adam_step"),
                              (trainer, "clip_gradients")):
             monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name),
-                                name=name: calls.append(name) or real(*args))
+                                name=name, **kwargs: calls.append(name) or real(*args, **kwargs))
         rc = small_run_config(max_epochs=2, seed=17)
         res = train(rc, train_ex, val_ex)
         assert res.epochs_run == 2 and not res.aborted
