@@ -49,6 +49,14 @@ def _resolve_data(path: str) -> Path:
     return p
 
 
+def _load_examples(path) -> list[QAExample]:
+    """load_jsonl(path), refusing a file that holds no example."""
+    examples = load_jsonl(path)
+    if not examples:
+        raise DataFormatError(f"{path}: dataset is empty")
+    return examples
+
+
 def _gen_config(raw) -> GenConfig:
     if not isinstance(raw, dict):
         raise ConfigError("gen config must be a JSON object")
@@ -113,8 +121,8 @@ def cmd_train(args) -> int:
     rc = RunConfig() if args.config is None else RunConfig.from_file(args.config)
     rc = rc.with_overrides(**{name: getattr(args, name) for name, _ in TRAIN_FLAGS})
     data_dir = _resolve_data(args.data)
-    train_ex = load_jsonl(data_dir / "train.jsonl")
-    val_ex = load_jsonl(data_dir / "val.jsonl")
+    train_ex = _load_examples(data_dir / "train.jsonl")
+    val_ex = _load_examples(data_dir / "val.jsonl")
     started = time.time()
     result = trainer.train(
         rc,
@@ -190,7 +198,7 @@ def cmd_predict(args) -> int:
             )
         ]
     else:
-        examples = load_jsonl(_resolve_data(args.data))
+        examples = _load_examples(_resolve_data(args.data))
     preds = _predict_answers(args.checkpoint, examples)
     for i, (ex, answer) in enumerate(zip(examples, preds)):
         sys.stdout.write(json.dumps({"id": _example_id(ex, i), "answer": answer}) + "\n")
@@ -228,9 +236,7 @@ def cmd_eval(args) -> int:
                           "it does not apply to --predictions")
     if args.wups_threshold and not args.taxonomy:
         raise ConfigError("--wups-threshold needs --taxonomy, which enables WUPS")
-    examples = load_jsonl(_resolve_data(args.data))
-    if not examples:
-        raise DataFormatError("evaluation dataset is empty")
+    examples = _load_examples(_resolve_data(args.data))
     if args.predictions:
         pred_lists = _load_predictions_file(args.predictions, examples)
     else:
@@ -315,7 +321,7 @@ def cmd_hash_stats(args) -> int:
 
 def cmd_retrieve(args) -> int:
     rc, store, vocab, _ = mdl.load_model(args.checkpoint)
-    corpus_ex = load_jsonl(_resolve_data(args.corpus))
+    corpus_ex = _load_examples(_resolve_data(args.corpus))
     corpus = [ex.question for ex in corpus_ex]
     ranked = mdl.retrieve_similar(rc.model, store, vocab, args.query, corpus, args.top_k)
     _emit({"query": args.query, "ranked": ranked})

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import ConfigError
 from .hashing import DEFAULT_SEED_BUCKET, DEFAULT_SEED_SIGN, HashSpec
@@ -52,11 +53,14 @@ def _check_ranges(config, ranges: dict) -> None:
 
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
-_FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 @dataclass
 class ModelConfig:
+    """Variant, widths and hash seeds; batch norm's constants are not fields."""
+
+    bn_momentum: ClassVar[float] = 0.1
+    bn_eps: ClassVar[float] = 1e-5
     variant: str = "dppnet"
     feature_dim: int | None = None  # train adopts the data's and refuses any other
     adapter_hidden: int = 96
@@ -67,12 +71,9 @@ class ModelConfig:
     embed_dim: int = 32
     num_answers: int | None = None  # train adopts the training answers', likewise
     vocab_size: int | None = None  # the encoder's vocab.json or the data's, likewise
-    concat_hidden: int | None = None  # solved to match parameter counts when None
     gru_bias: bool = False
     seed_bucket: int = DEFAULT_SEED_BUCKET
     seed_sign: int = DEFAULT_SEED_SIGN
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         _check_types(self)
@@ -81,9 +82,8 @@ class ModelConfig:
         _check_ranges(self, {
             **dict.fromkeys(("adapter_hidden", "adapter_out", "dyn_out", "num_candidates",
                              "hidden_dim", "embed_dim"), _AT_LEAST_1),
-            "bn_momentum": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-            "bn_eps": _POSITIVE,
         })
+        self.hash_spec()  # its seeds are checked where the hash reads them
 
     def hash_spec(self) -> HashSpec:
         return HashSpec(
@@ -94,27 +94,24 @@ class ModelConfig:
             seed_sign=self.seed_sign,
         )
 
-    @property
-    def resolved(self) -> bool:
-        return None not in (self.feature_dim, self.num_answers, self.vocab_size)
-
     def require_resolved(self):
-        if not self.resolved:
-            raise ConfigError(
-                "model config not resolved against data "
-                "(feature_dim / num_answers / vocab_size missing)"
-            )
+        if None in (self.feature_dim, self.num_answers, self.vocab_size):
+            raise ConfigError("model config not resolved against data "
+                              "(feature_dim / num_answers / vocab_size missing)")
 
 
 @dataclass
 class TrainSchedule:
+    """Training schedule; Adam's constants, not fields, are the values Kingma
+    & Ba recommend (arXiv:1412.6980)."""
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
     seed: int = 1
     max_epochs: int = 100
     patience: int = 5
     lr: float = 0.0015
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_threshold: float = 0.1
     batch_size: int = 32
     unfreeze_patience: int = 3
@@ -128,9 +125,6 @@ class TrainSchedule:
             "max_epochs": _AT_LEAST_1,
             "patience": _AT_LEAST_1,
             "lr": _POSITIVE,
-            "beta1": _FRACTION,
-            "beta2": _FRACTION,
-            "adam_eps": _POSITIVE,
             "clip_threshold": (lambda v: v > 0, "> 0"),
             "batch_size": (lambda v: v >= 2, ">= 2 (batch norm needs 2 rows)"),
             "unfreeze_patience": (lambda v: v >= 0, ">= 0"),
@@ -138,6 +132,13 @@ class TrainSchedule:
             "overfit_gap": (math.isfinite, "finite"),
             "overfit_epochs": _AT_LEAST_1,
         })
+
+
+# fields now constants, by section, at the one value a saved config may give:
+# null for concat_hidden, whose width is always solved
+RETIRED = {"model": {"concat_hidden": None, "bn_momentum": ModelConfig.bn_momentum,
+                     "bn_eps": ModelConfig.bn_eps},
+           "train": {n: getattr(TrainSchedule, n) for n in ("beta1", "beta2", "adam_eps")}}
 
 
 @dataclass
@@ -159,11 +160,20 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         data = dict(data)
-        model = ModelConfig(**data.pop("model", {}))
-        train = TrainSchedule(**data.pop("train", {}))
         # configs saved before the encoder path alone decided: "none" skipped it
         if data.pop("pretrained_policy", None) == "none":
             data["pretrained_encoder"] = None
+        # every config saved before RETIRED's fields became constants holds them
+        for section, retired in RETIRED.items():
+            values = data.get(section)
+            if isinstance(values, dict):
+                for name in retired.keys() & values.keys():
+                    if values[name] != retired[name]:
+                        raise ConfigError(f"{section}.{name} is fixed at "
+                                          f"{json.dumps(retired[name])}, got {values[name]!r}")
+                data[section] = {k: v for k, v in values.items() if k not in retired}
+        model = ModelConfig(**data.pop("model", {}))
+        train = TrainSchedule(**data.pop("train", {}))
         unknown = set(data) - {"precision", "pretrained_encoder"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

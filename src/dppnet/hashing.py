@@ -70,11 +70,12 @@ class HashSpec:
                 f"in={self.in_dim} candidates={self.num_candidates}"
             )
         if not (0 <= self.seed_bucket <= _MASK64 and 0 <= self.seed_sign <= _MASK64):
-            raise ConfigError("hash seeds must be unsigned 64-bit integers")
+            raise ConfigError("seed_bucket and seed_sign must be unsigned 64-bit integers")
         if self.seed_bucket == self.seed_sign:
-            raise ConfigError("bucket and sign seeds must differ")
+            raise ConfigError(f"seed_bucket and seed_sign must differ, both are {self.seed_sign}")
         if self.out_dim >= 1 << 32 or self.in_dim >= 1 << 32:
-            raise ConfigError("hash dims must fit in 32 bits")
+            raise ConfigError(f"hash dims must fit in 32 bits, got out={self.out_dim} "
+                              f"in={self.in_dim}")
 
     def _check(self, m: int, n: int):
         if not (0 <= m < self.out_dim and 0 <= n < self.in_dim):

@@ -43,8 +43,6 @@ def concat_hidden_dim(cfg: ModelConfig) -> int:
     """Mixer width that matches the concat variant's parameter count to the
     dynamic variant's: the mixer replaces the candidate projection and the
     dynamic bias."""
-    if cfg.concat_hidden is not None:
-        return cfg.concat_hidden
     n, h, m, k = cfg.adapter_out, cfg.hidden_dim, cfg.dyn_out, cfg.num_candidates
     return max(1, round(k * h / (n + h + m + 1)))
 
@@ -125,17 +123,6 @@ def init_params(cfg: ModelConfig, precision: str, seed: int) -> ParamStore:
     return store
 
 
-def _bn_state(cfg: ModelConfig, store: ParamStore) -> BatchNormState:
-    return BatchNormState(
-        gamma=store["bn.gamma"],
-        beta=store["bn.beta"],
-        running_mean=store["bn.running_mean"],
-        running_var=store["bn.running_var"],
-        momentum=cfg.bn_momentum,
-        eps=cfg.bn_eps,
-    )
-
-
 def _adapter_forward(store, features):
     h1 = activation("relu", matmul(features, store["adapter.w1"].T) + store["adapter.b1"])
     f_in = activation("relu", matmul(h1, store["adapter.w2"].T) + store["adapter.b2"])
@@ -198,7 +185,6 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
     f_in, h1 = _adapter_forward(store, features)
     caches["h1"], caches["f_in"] = h1, f_in
 
-    bn = _bn_state(cfg, store)
     if cfg.variant == "concat":
         joint = np.concatenate([f_in, h_last[inverse]], axis=1)
         z1 = activation("relu", matmul(joint, store["mix.w1"].T) + store["mix.b1"])
@@ -212,6 +198,8 @@ def head(cfg: ModelConfig, store: ParamStore, features, encoding, mode: str) -> 
         pre_cls = dyn_forward(f_in, candidates, store["dyn.b"], cfg.hash_spec(),
                               questions=groups)
 
+    bn = BatchNormState(store["bn.gamma"], store["bn.beta"], store["bn.running_mean"],
+                        store["bn.running_var"], ModelConfig.bn_momentum, ModelConfig.bn_eps)
     y_bn, bn_cache, caches["bn_running"] = batchnorm(pre_cls, bn, mode)
     r_out = activation("relu", y_bn)
     logits = matmul(r_out, store["cls.w"].T) + store["cls.b"]
@@ -449,16 +437,11 @@ def load_model(directory):
     vocab = read_json(directory / VOCAB_NAME, CheckpointError, Vocabulary.from_mapping)
     answers = read_json(directory / ANSWERS_NAME, CheckpointError, AnswerSpace)
     cfg = run_config.model
-    if cfg.num_answers != len(answers):
-        raise CheckpointError(
-            f"checkpoint inconsistent: config lists {cfg.num_answers} answers, "
-            f"answer file has {len(answers)}"
-        )
-    if cfg.vocab_size != len(vocab):
-        raise CheckpointError(
-            f"checkpoint inconsistent: config lists vocab {cfg.vocab_size}, "
-            f"vocab file has {len(vocab)}"
-        )
+    for name, count, file in (("num_answers", len(answers), ANSWERS_NAME),
+                              ("vocab_size", len(vocab), VOCAB_NAME)):
+        if getattr(cfg, name) != count:
+            raise CheckpointError(f"checkpoint inconsistent: config.json's {name} is "
+                                  f"{getattr(cfg, name)}, {file} holds {count}")
     check_layout(cfg, store, f"checkpoint {directory}")
     return run_config, store, vocab, answers
 

@@ -75,16 +75,14 @@ def clip_gradients(grads: Gradients, threshold: float) -> float:
 
 @dataclass
 class AdamState:
-    """Adam's settings, step count and flat vectors: the rows of vectors are
+    """Adam's step size, clip threshold, step count and flat vectors (its betas
+    and epsilon are TrainSchedule's constants): the rows of vectors are
     the moments m and v, the gathered gradient g and a scratch s, laid out
     like the store's buffer from its first entry ever updated, start.  So a
     tensor no step has handed a gradient (the frozen adapter) holds no
     moments until one does.  The default clip_threshold never clips."""
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_threshold: float = math.inf
     step: int = 0
     start: int = 0
@@ -132,7 +130,7 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> float:
     grads = state.gather(store, grads)
     norm = clip_gradients(grads, state.clip_threshold)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = TrainSchedule.beta1, TrainSchedule.beta2
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     for a, b in grads.runs:
         m, v, g, s = state.vectors[:, a:b]
@@ -147,7 +145,7 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> float:
         s *= state.lr
         np.divide(v, c2, out=g)
         np.sqrt(g, out=g)
-        g += state.eps
+        g += TrainSchedule.adam_eps
         s /= g
         store.buffer[state.start + a : state.start + b] -= s  # lr*(m/c1) / (sqrt(v/c2)+eps)
     return norm
@@ -324,8 +322,7 @@ def train(run_config: RunConfig, train_examples, val_examples,
     # the frozen-trunk ablations never unfreeze; the full model and the
     # concat baseline follow the staged schedule
     controller = ScheduleController(schedule, cfg.variant not in ("cnn-fixed", "rand-gru"))
-    adam = AdamState(lr=schedule.lr, beta1=schedule.beta1, beta2=schedule.beta2,
-                     eps=schedule.adam_eps, clip_threshold=schedule.clip_threshold)
+    adam = AdamState(lr=schedule.lr, clip_threshold=schedule.clip_threshold)
     rng = np.random.default_rng(schedule.seed)
 
     best_values = store.buffer.copy()

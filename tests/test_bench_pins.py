@@ -2,10 +2,10 @@
 
 perfbench/spans.py wraps (module, function) pairs for its traced run, and
 perfbench/workloads.py calls dppnet through module attributes
-(``trainer.eval_batches``, ``model.encode_question``) and reads
-``model.forward``'s caches (``caches["f_in"]``).  Both files are only parsed
-here, never run, so a name deleted or renamed in src/ fails tier-1 instead of
-a traced benchmark run.
+(``trainer.eval_batches``, ``model.encode_question``), reads
+``model.forward``'s caches (``caches["f_in"]``) and reads config attributes
+(``cfg.bn_eps``).  Both files are only parsed here, never run, so a name
+deleted or renamed in src/ fails tier-1 instead of a traced benchmark run.
 """
 
 import ast
@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import toy_model_config
+
+from dppnet.config import ModelConfig, RunConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -94,3 +96,21 @@ def test_every_cache_the_workloads_read_has_a_row_per_example(questions):
     _, caches = model.forward(cfg, store, feats, pool[questions], mode="eval")
     for key in keys:
         assert len(caches[key]) == len(questions), key
+
+
+# the names workloads.py gives a model config and a run config, by default
+CONFIGS = {"cfg": ModelConfig(), "rc": RunConfig(), "run_config": RunConfig()}
+
+
+def config_pins():
+    """(name, attribute) for every attribute read on a name of CONFIGS."""
+    return sorted({(node.value.id, node.attr) for node in ast.walk(_parse("workloads.py"))
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in CONFIGS})
+
+
+def test_every_config_attribute_the_workloads_read_exists():
+    pins = config_pins()
+    assert {("cfg", "bn_eps"), ("cfg", "hash_spec"), ("rc", "model"),
+            ("rc", "precision")} <= set(pins)
+    assert [f"{name}.{attr}" for name, attr in pins if not hasattr(CONFIGS[name], attr)] == []

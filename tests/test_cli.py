@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dppnet.encoder
+import dppnet.model
 from dppnet.cli import main
+from dppnet.config import RETIRED, ModelConfig, TrainSchedule
 from dppnet.data import GenConfig, generate_synthetic, save_jsonl
 
 
@@ -197,6 +201,19 @@ class TestGen:
         assert "notes.txt" in json.loads(err)["error"]["message"]
         assert (tmp_path / "notes.txt").read_text() == "keep"
 
+    def test_example_count_is_bounded(self, capsys, tmp_path, monkeypatch):
+        import dppnet.cli
+
+        calls = []
+        monkeypatch.setattr(dppnet.cli, "generate_synthetic", lambda *a: calls.append(a))
+        gc = tmp_path / "gen.json"
+        gc.write_text(json.dumps({"n_train": 1_000_000_000}))
+        out = tmp_path / "d"
+        error = refused(*run_cli(capsys, "gen", "--out", str(out), "--gen-config", str(gc)))
+        assert error["type"] == "ConfigError"
+        assert all(name in error["message"] for name in ("n_train", "n_val", "n_test"))
+        assert (calls, out.exists()) == ([], False)
+
     def test_refused_out_generates_nothing(self, capsys, tmp_path, monkeypatch):
         import dppnet.cli
 
@@ -278,6 +295,19 @@ class TestTrainCommand:
         assert error["type"] == "DataFormatError"
         assert "validation" in error["message"]
         assert f"{width - 1}" in error["message"] and f"{width}" in error["message"]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_split_is_named(self, capsys, tmp_path, split):
+        # gen writes an empty split when asked for none
+        gc = tmp_path / "gen.json"
+        gc.write_text(json.dumps({"n_train": 40, "n_val": 10, "n_test": 10, f"n_{split}": 0}))
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run_cli(capsys, "gen", "--out", str(data), "--gen-config", str(gc))[0] == 0
+        error = refused(*run_cli(capsys, "train", "--data", str(data), "--out", str(out)))
+        assert error["type"] == "DataFormatError"
+        assert str(data / f"{split}.jsonl") in error["message"] and "empty" in error["message"]
         assert not out.exists()
 
 
@@ -408,6 +438,17 @@ class TestEvalCommand:
             "--wups-threshold", "0.5", "--wups-threshold", threshold))
         assert error["type"] == "DataFormatError"
         assert "threshold" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "retrieve"])
+def test_empty_data_file_is_named(capsys, tmp_path, tiny_checkpoint, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    data = ["--corpus", str(empty), "--query", "what color"] if command == "retrieve" else [
+        "--data", str(empty)]
+    error = refused(*run_cli(capsys, command, "--checkpoint", str(tiny_checkpoint), *data))
+    assert error["type"] == "DataFormatError"
+    assert str(empty) in error["message"] and "empty" in error["message"]
 
 
 class TestPredictCommand:
@@ -1290,3 +1331,66 @@ class TestCliContract:
             assert not out.exists()
 
         run()
+
+    # the nearest value each field refuses; an int field not named here refuses
+    # 0 (widths and counts are >= 1, and the data contradicts a zero
+    # feature_dim, num_answers or vocab_size), and the other floats have none
+    JUST_OUT = {"variant": "dense", "seed": -1, "batch_size": 1, "unfreeze_patience": -1,
+                "seed_bucket": 2**64, "seed_sign": -1, "lr": 0.0, "clip_threshold": 0.0}
+    EXTREMES = (math.nan, math.inf, -math.inf, 1e308, True, "1")
+    # values a field takes: a bool flag, and floats with no upper bound
+    TAKEN = {("gru_bias", True), ("lr", 1e308), ("clip_threshold", math.inf),
+             ("clip_threshold", 1e308), ("overfit_gap", 1e308)}
+
+    @classmethod
+    def config_draws(cls):
+        """(section, field, value) for a value the field refuses: one model or
+        train field at a time, or a retired key at a value not its constant."""
+        draws = []
+        for section, config in (("model", ModelConfig), ("train", TrainSchedule)):
+            for f in dataclasses.fields(config):
+                out = cls.JUST_OUT.get(f.name, 0 if f.type.startswith("int") else None)
+                draws += [(section, f.name, v) for v in (out, *cls.EXTREMES)
+                          if v is not None and (f.name, v) not in cls.TAKEN]
+        for section, retired in RETIRED.items():
+            draws += [(section, name, v) for name in retired for v in (16, 0.5, *cls.EXTREMES)]
+        return draws
+
+    def test_config_values_are_refused_before_training(self, valid, tmp_path, monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("a refused config reached a training step")
+
+        monkeypatch.setattr(dppnet.model, "loss_and_grads", step)
+        base, out = json.loads(valid["train --config"]), tmp_path / "run"
+
+        @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @given(st.sampled_from(self.config_draws()))
+        def run(draw):
+            section, name, value = draw
+            raw = {**base, section: {**base[section], name: value}}
+            (tmp_path / "cfg.json").write_text(json.dumps(raw))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["train", "--config", str(tmp_path / "cfg.json"), "--data",
+                             str(valid["data dir"]), "--out", str(out)])
+            assert (code, stdout.getvalue()) == (1, "")
+            (line,) = stderr.getvalue().splitlines()
+            error = json.loads(line)["error"]
+            assert error["type"] == "ConfigError" and name in error["message"], error
+            assert not out.exists()
+
+        run()
+
+    def test_retired_keys_at_their_constants_train_the_same(self, valid, tmp_path):
+        base = json.loads(valid["train --config"])
+        legacy = {section: {**base[section], **RETIRED[section]} for section in RETIRED}
+        params = []
+        for name, raw in (("new", base), ("legacy", {**base, **legacy})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+            out = tmp_path / name
+            assert main(["train", "--config", str(tmp_path / f"{name}.json"), "--data",
+                         str(valid["data dir"]), "--out", str(out), "--max-epochs", "1"]) == 0
+            params.append((out / "params.bin").read_bytes())
+            saved = json.loads((out / "config.json").read_text())
+            assert not any(RETIRED[section].keys() & saved[section] for section in RETIRED)
+        assert params[0] == params[1]

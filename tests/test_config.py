@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from dppnet.cli import main
-from dppnet.config import ModelConfig, RunConfig, TrainSchedule
+from dppnet.config import RETIRED, ModelConfig, RunConfig, TrainSchedule
 from dppnet.data import GenConfig, generate_synthetic, save_jsonl
 from dppnet.errors import ConfigError
 
@@ -61,16 +62,37 @@ def test_train_config_field_type_named(capsys, tmp_path, section, field, value):
         (ModelConfig, "bn_eps", -1e-5),
         (ModelConfig, "bn_momentum", 1.5),
         (ModelConfig, "bn_momentum", -0.1),
+        (ModelConfig, "bn_momentum", True),
+        (ModelConfig, "bn_eps", 0.001),
+        (ModelConfig, "concat_hidden", 16),
+        (ModelConfig, "concat_hidden", 0),
+        (TrainSchedule, "beta1", 0.5),
+        (TrainSchedule, "beta2", "0.999"),
     ],
 )
 def test_values_that_would_train_wrong_are_refused(cls, field, value):
+    # as a saved config gives them: the retired fields (config.RETIRED) are
+    # refused at any value but their constant's
+    section = {ModelConfig: "model", TrainSchedule: "train"}[cls]
     with pytest.raises(ConfigError, match=field):
-        cls(**{field: value})
+        RunConfig.from_dict({section: {field: value}})
 
 
 def test_range_edges_stay_valid():
-    TrainSchedule(beta1=0.0, beta2=0.0, unfreeze_patience=0, overfit_epochs=1, max_epochs=1)
-    ModelConfig(bn_momentum=1.0)
+    TrainSchedule(unfreeze_patience=0, overfit_epochs=1, max_epochs=1)
+    ModelConfig(num_candidates=1)
+
+
+def test_retired_fields_are_class_constants():
+    assert (ModelConfig.bn_momentum, ModelConfig.bn_eps) == (0.1, 1e-5)
+    assert (TrainSchedule.beta1, TrainSchedule.beta2, TrainSchedule.adam_eps) == (
+        0.9, 0.999, 1e-8)
+    retired = {name for names in RETIRED.values() for name in names}
+    assert retired == {"concat_hidden", "bn_momentum", "bn_eps", "beta1", "beta2", "adam_eps"}
+    fields = {f.name for cls in (ModelConfig, TrainSchedule) for f in dataclasses.fields(cls)}
+    assert not retired & fields
+    assert (len(dataclasses.fields(ModelConfig)), len(dataclasses.fields(TrainSchedule))) == (
+        13, 9)
 
 
 @pytest.mark.parametrize("flag, value", [("--lr", "-0.01"), ("--max-epochs", "0"), ("--seed", "-1"),
@@ -147,8 +169,9 @@ def test_with_overrides_checks_what_it_sets():
 def test_float_fields_take_ints_and_optional_fields_take_none():
     sched = TrainSchedule(lr=1, clip_threshold=2, overfit_gap=0)
     assert (sched.lr, sched.clip_threshold) == (1, 2)
-    cfg = ModelConfig(feature_dim=None, num_answers=None, concat_hidden=None, bn_momentum=0)
-    assert not cfg.resolved
+    cfg = ModelConfig(feature_dim=None, num_answers=None, vocab_size=None)
+    with pytest.raises(ConfigError, match="not resolved"):
+        cfg.require_resolved()
 
 
 def test_saved_config_round_trips(tmp_path):

@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 from dppnet.data import (
+    MAX_EXAMPLES,
     GenConfig,
     QAExample,
     AnswerSpace,
@@ -185,6 +186,11 @@ class TestGenerator:
     def test_more_slots_than_shapes_rejected(self):
         with pytest.raises(ConfigError):
             GenConfig(slots=5)
+
+    def test_example_budget_edge(self):
+        GenConfig(n_train=MAX_EXAMPLES - 2, n_val=1, n_test=1)  # built, nothing drawn
+        with pytest.raises(ConfigError, match="n_train \\+ n_val \\+ n_test"):
+            GenConfig(n_train=MAX_EXAMPLES - 1, n_val=1, n_test=1)
 
     def test_bad_template_mix_rejected(self):
         with pytest.raises(ConfigError):

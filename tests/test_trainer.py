@@ -117,10 +117,11 @@ class TestAdam:
         assert store["w"][0] != 1.0
         # untouched moments: handed in again, step 7 starts from the moments of step 1
         adam_step(store, {"w": np.ones(1), "frozen.w": np.full(1, 0.25)}, state)
-        b1, b2, g1, g7 = state.beta1, state.beta2, np.full(1, 0.5), np.full(1, 0.25)
+        b1, b2, eps = TrainSchedule.beta1, TrainSchedule.beta2, TrainSchedule.adam_eps
+        g1, g7 = np.full(1, 0.5), np.full(1, 0.25)
         m = b1 * ((1.0 - b1) * g1) + (1.0 - b1) * g7
         v = b2 * ((1.0 - b2) * (g1 * g1)) + (1.0 - b2) * (g7 * g7)
-        step = state.lr * (m / (1.0 - b1 ** 7)) / (np.sqrt(v / (1.0 - b2 ** 7)) + state.eps)
+        step = state.lr * (m / (1.0 - b1 ** 7)) / (np.sqrt(v / (1.0 - b2 ** 7)) + eps)
         assert store["frozen.w"].tobytes() == (np.frombuffer(raw) - step).tobytes()
 
     @pytest.mark.parametrize("name", ["bn.running_mean", "nope"])
@@ -158,7 +159,8 @@ class TestAdam:
         values = {n: store[n].copy() for n in shapes}
         m, v = {}, {}
         state = AdamState(lr=0.05, clip_threshold=1.0)
-        lr, b1, b2, eps = state.lr, state.beta1, state.beta2, state.eps
+        lr, b1, b2, eps = (state.lr, TrainSchedule.beta1, TrainSchedule.beta2,
+                           TrainSchedule.adam_eps)
         clipped = []  # each step's gathered gradients, as clipping left them
         real = trainer.clip_gradients
 
