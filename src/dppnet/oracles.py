@@ -85,10 +85,8 @@ def check_batchnorm(rng) -> GradCheckReport:
     arrays = {"x": x, "gamma": rng.uniform(0.5, 1.5, size=3), "beta": rng.normal(size=3)}
 
     def forward(s):
-        state = BatchNormState(
-            gamma=s["gamma"], beta=s["beta"],
-            running_mean=np.zeros(3), running_var=np.ones(3),
-        )
+        state = BatchNormState(s["gamma"], s["beta"], np.zeros(3), np.ones(3),
+                               ModelConfig.bn_momentum, ModelConfig.bn_eps)
         y, cache, _ = batchnorm(s["x"], state, "train")
         return float((c * y).sum()), cache
 

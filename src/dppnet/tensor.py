@@ -119,20 +119,14 @@ class BatchNormState:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
+    momentum: float
+    eps: float
 
     @classmethod
-    def create(cls, dim: int, precision: str = "f64", momentum: float = 0.1, eps: float = 1e-5):
+    def create(cls, dim: int, *, momentum: float, eps: float, precision: str = "f64"):
         dt = np_dtype(precision)
-        return cls(
-            gamma=np.ones(dim, dtype=dt),
-            beta=np.zeros(dim, dtype=dt),
-            running_mean=np.zeros(dim, dtype=dt),
-            running_var=np.ones(dim, dtype=dt),
-            momentum=momentum,
-            eps=eps,
-        )
+        return cls(np.ones(dim, dt), np.zeros(dim, dt), np.zeros(dim, dt), np.ones(dim, dt),
+                   momentum, eps)
 
 
 def batchnorm(x: np.ndarray, state: BatchNormState, mode: str):

@@ -4,10 +4,10 @@ adapter unfreezing, and permanent encoder freezing on overfit.
 ScheduleController decides which branches a step leaves frozen, and
 model.backward forms no gradient for them.  Each step hands the gradients it
 does form to one call, adam_step.  It copies them into one vector laid out
-like the store's buffer (AdamState.gather), then clips it and updates those
-tensors in place: passes over the few runs of entries they fill, each one
-IEEE operation of the per-tensor expressions in their order, so they keep the
-bits of a per-tensor update.
+like the store's buffer (AdamState.gather, whose views and runs are built once
+per frozen set), then clips it and updates those tensors in place: passes
+over the few runs of entries they fill, with Adam's bias correction folded
+into the step size and epsilon (Kingma & Ba, arXiv:1412.6980, Section 2).
 
 Everything is seeded and reduction orders are fixed, so two runs with the
 same seed produce bit-identical logs at 64-bit precision, apart from each
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,15 +33,12 @@ from .tensor import ParamStore
 
 
 class Gradients(dict):
-    """Gradients by name, in the order given, as views of one vector, flat.
+    """Gradients by name, in the order given, as views of one vector, flat;
+    runs are the merged (start, stop) stretches of flat they cover, in order."""
 
-    runs are the merged (start, stop) stretches of flat they cover, in
-    order; scratch is a second vector of flat's size.
-    """
-
-    def __init__(self, flat: np.ndarray, scratch: np.ndarray, spans: dict, shapes: dict):
+    def __init__(self, flat: np.ndarray, spans: dict, shapes: dict):
         super().__init__((n, flat[a:b].reshape(shapes[n])) for n, (a, b) in spans.items())
-        self.flat, self.scratch, self.spans, self.runs = flat, scratch, spans, []
+        self.flat, self.runs = flat, []
         for a, b in sorted(spans.values()):
             if self.runs and self.runs[-1][1] == a:
                 a = self.runs.pop()[0]
@@ -52,20 +49,18 @@ def clip_gradients(grads: Gradients, threshold: float) -> float:
     """Scale the gathered gradients in place so the global L2 norm is at most
     threshold; returns the pre-clip norm.
 
-    The norm adds each tensor's sum of squares in grads' order: the bits of a
-    per-tensor sum.  adam_step passes model.backward's gradients, which
+    The norm adds one sum of squares per run, in the runs' order.  einsum
+    takes each in its own loop, whose bits do not depend on the BLAS thread
+    count as np.dot's do.  adam_step passes model.backward's gradients, which
     leave out the frozen branches, so a frozen tensor counts in neither the
     norm nor the clipping (Pascanu et al., arXiv:1211.5063, rescale the applied
     update).
     """
     if threshold <= 0:
         raise ConfigError("clip threshold must be > 0")
-    flat, sq = grads.flat, grads.scratch
+    flat, total = grads.flat, 0.0
     for a, b in grads.runs:
-        np.multiply(flat[a:b], flat[a:b], out=sq[a:b])
-    total = 0.0
-    for a, b in grads.spans.values():
-        total += float(sq[a:b].sum())
+        total += float(np.einsum("i,i->", flat[a:b], flat[a:b]))
     norm = math.sqrt(total)
     if norm > threshold:
         for a, b in grads.runs:
@@ -80,35 +75,42 @@ class AdamState:
     the moments m and v, the gathered gradient g and a scratch s, laid out
     like the store's buffer from its first entry ever updated, start.  So a
     tensor no step has handed a gradient (the frozen adapter) holds no
-    moments until one does.  The default clip_threshold never clips."""
+    moments until one does.  The default clip_threshold never clips.
+    layout is the last gather's (names, store buffer, Gradients)."""
 
     lr: float = 0.01
     clip_threshold: float = math.inf
     step: int = 0
     start: int = 0
     vectors: np.ndarray | None = None
+    layout: tuple | None = field(default=None, init=False, repr=False)
 
     def gather(self, store: ParamStore, grads: dict) -> Gradients:
         """grads copied into g in their order; a gradient that is not one of
-        a trainable tensor of store, at its shape, is a ConfigError."""
-        for name in grads:
-            if name not in store or not store.is_trainable(name):
-                raise ConfigError(f"gradient for {name!r}, which is no trainable tensor "
-                                  "of the store")
-        spans = {n: store.span(n) for n in grads}
-        size = store.buffer.size
-        start = min((a for a, _ in spans.values()), default=size)
-        if self.vectors is None or start < self.start:
-            grown = np.zeros((4, size - start), dtype=store.buffer.dtype)
-            if self.vectors is not None:
-                grown[:, self.start - start:] = self.vectors
-            self.vectors, self.start = grown, start
-        if self.start + self.vectors.shape[1] != size:
-            raise ConfigError(f"Adam state covers {self.start + self.vectors.shape[1]} "
-                              f"parameter entries, the store holds {size}")
-        out = Gradients(self.vectors[2], self.vectors[3],
-                        {n: (a - self.start, b - self.start) for n, (a, b) in spans.items()},
-                        {n: store[n].shape for n in spans})
+        a trainable tensor of store, at its shape, is a ConfigError.  The
+        views and runs are built again only when the names or the store's
+        buffer change: the frozen set changes at most twice a run."""
+        names = tuple(grads)
+        if self.layout is None or self.layout[0] != names or self.layout[1] is not store.buffer:
+            for name in names:
+                if name not in store or not store.is_trainable(name):
+                    raise ConfigError(f"gradient for {name!r}, which is no trainable tensor "
+                                      "of the store")
+            spans = {n: store.span(n) for n in names}
+            size = store.buffer.size
+            start = min((a for a, _ in spans.values()), default=size)
+            if self.vectors is None or start < self.start:
+                grown = np.zeros((4, size - start), dtype=store.buffer.dtype)
+                if self.vectors is not None:
+                    grown[:, self.start - start:] = self.vectors
+                self.vectors, self.start = grown, start
+            if self.start + self.vectors.shape[1] != size:
+                raise ConfigError(f"Adam state covers {self.start + self.vectors.shape[1]} "
+                                  f"parameter entries, the store holds {size}")
+            spans = {n: (a - self.start, b - self.start) for n, (a, b) in spans.items()}
+            shapes = {n: store[n].shape for n in names}
+            self.layout = (names, store.buffer, Gradients(self.vectors[2], spans, shapes))
+        out = self.layout[2]
         for name, view in out.items():
             if grads[name].shape != view.shape:
                 raise ConfigError(
@@ -124,14 +126,17 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> float:
 
     grads (model.backward's) are gathered into state, then clipped to
     state.clip_threshold.  Every other tensor is untouched: values and
-    moments.  Each pass is one IEEE operation of the per-tensor expressions,
-    in their order (m = b1*m + (1-b1)*g, ...), so the bits are theirs.
+    moments.  The bias corrections c1 = 1-b1^t and c2 = 1-b2^t are folded
+    into the step size a_t = lr*sqrt(c2)/c1 and eps_hat = eps*sqrt(c2), so
+    a_t*m / (sqrt(v)+eps_hat) is lr*(m/c1) / (sqrt(v/c2)+eps) in exact
+    arithmetic, in two passes fewer.
     """
     grads = state.gather(store, grads)
     norm = clip_gradients(grads, state.clip_threshold)
     state.step += 1
-    b1, b2 = TrainSchedule.beta1, TrainSchedule.beta2
-    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    b1, b2, t = TrainSchedule.beta1, TrainSchedule.beta2, state.step
+    root = math.sqrt(1.0 - b2 ** t)
+    a_t, eps_hat = state.lr * root / (1.0 - b1 ** t), TrainSchedule.adam_eps * root
     for a, b in grads.runs:
         m, v, g, s = state.vectors[:, a:b]
         np.multiply(g, 1.0 - b1, out=s)
@@ -141,13 +146,11 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> float:
         g *= 1.0 - b2
         v *= b2
         v += g  # v = b2*v + (1-b2)*(g*g)
-        np.divide(m, c1, out=s)
-        s *= state.lr
-        np.divide(v, c2, out=g)
-        np.sqrt(g, out=g)
-        g += TrainSchedule.adam_eps
-        s /= g
-        store.buffer[state.start + a : state.start + b] -= s  # lr*(m/c1) / (sqrt(v/c2)+eps)
+        np.sqrt(v, out=g)
+        g += eps_hat
+        np.divide(m, g, out=s)
+        s *= a_t
+        store.buffer[state.start + a : state.start + b] -= s  # a_t*m / (sqrt(v)+eps_hat)
     return norm
 
 
@@ -276,8 +279,11 @@ def train(run_config: RunConfig, train_examples, val_examples,
 
     The adapter starts frozen for every variant.  A non-finite training loss
     and a FloatingPointError from a step or the validation pass abort the run,
-    keeping the best checkpoint seen so far.
+    keeping the best checkpoint seen so far.  An empty split is refused first.
     """
+    for split, examples in (("training", train_examples), ("validation", val_examples)):
+        if not examples:
+            raise DataFormatError(f"the {split} split is empty")
     cfg = run_config.model
     schedule = run_config.train
     precision = run_config.precision

@@ -5,6 +5,7 @@ import pytest
 
 from fdutil import assert_fd_match, central_diff
 
+from dppnet.config import ModelConfig
 from dppnet.errors import ConfigError, ShapeError
 from dppnet.tensor import (
     BatchNormState,
@@ -18,6 +19,9 @@ from dppnet.tensor import (
     softmax_xent,
     xent,
 )
+
+
+BN = {"momentum": ModelConfig.bn_momentum, "eps": ModelConfig.bn_eps}  # the model's constants
 
 
 def triple_loop_matmul(a, b):
@@ -138,12 +142,12 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(400, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        state = BatchNormState.create(3)
+        state = BatchNormState.create(3, **BN)
         y, _, _ = batchnorm(x, state, "train")
         assert np.abs(y - x).max() <= 1e-4
 
     def test_constant_column_outputs_beta(self):
-        state = BatchNormState.create(2)
+        state = BatchNormState.create(2, **BN)
         state.beta = np.array([3.0, -1.0])
         x = np.full((5, 2), 7.0)
         y, _, _ = batchnorm(x, state, "train")
@@ -151,12 +155,12 @@ class TestBatchNorm:
 
     def test_train_needs_two_rows(self):
         with pytest.raises(ShapeError):
-            batchnorm(np.zeros((1, 2)), BatchNormState.create(2), "train")
+            batchnorm(np.zeros((1, 2)), BatchNormState.create(2, **BN), "train")
 
     def test_normalized_stats(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(64, 4)) * 10.0 + 3.0  # comfortably non-degenerate columns
-        state = BatchNormState.create(4)
+        state = BatchNormState.create(4, **BN)
         _, cache, _ = batchnorm(x, state, "train")
         xhat = cache[0]
         assert np.abs(xhat.mean(axis=0)).max() <= 1e-10
@@ -165,10 +169,11 @@ class TestBatchNorm:
     def test_running_stats_update_with_momentum(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(32, 2)) + 5.0
-        state = BatchNormState.create(2, momentum=0.1)
+        state = BatchNormState.create(2, **BN)
         _, _, (running_mean, running_var) = batchnorm(x, state, "train")
-        expect_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=0)
-        expect_var = 0.9 * 1.0 + 0.1 * x.var(axis=0)
+        m = BN["momentum"]
+        expect_mean = (1.0 - m) * 0.0 + m * x.mean(axis=0)
+        expect_var = (1.0 - m) * 1.0 + m * x.var(axis=0)
         assert np.allclose(running_mean, expect_mean)
         assert np.allclose(running_var, expect_var)
         assert np.all(running_var > 0)
@@ -177,7 +182,7 @@ class TestBatchNorm:
         assert np.array_equal(state.running_var, np.ones(2))
 
     def test_eval_uses_running_stats_only(self):
-        state = BatchNormState.create(2)
+        state = BatchNormState.create(2, **BN)
         state.running_mean = np.array([1.0, -1.0])
         state.running_var = np.array([4.0, 0.25])
         x = np.array([[1.0, -1.0], [3.0, 0.0]])
@@ -195,8 +200,8 @@ class TestBatchNorm:
         c = rng.normal(size=(8, 3))
 
         def run(xv):
-            state = BatchNormState(gamma=gamma, beta=beta,
-                                   running_mean=np.zeros(3), running_var=np.ones(3))
+            state = BatchNormState(gamma=gamma, beta=beta, running_mean=np.zeros(3),
+                                   running_var=np.ones(3), **BN)
             y, cache, _ = batchnorm(xv, state, "train")
             return y, cache
 
@@ -208,8 +213,15 @@ class TestBatchNorm:
         assert_fd_match(dgamma, numeric_dgamma, rtol=1e-6, atol=1e-8)
         assert np.allclose(dbeta, c.sum(axis=0))
 
+    def test_momentum_and_eps_have_no_defaults(self):
+        # ModelConfig holds the one value of each
+        with pytest.raises(TypeError, match="momentum.*eps"):
+            BatchNormState.create(2)
+        with pytest.raises(TypeError, match="momentum.*eps"):
+            BatchNormState(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
+
     def test_eval_cache_rejected_by_backward(self):
-        state = BatchNormState.create(2)
+        state = BatchNormState.create(2, **BN)
         _, cache, _ = batchnorm(np.zeros((3, 2)), state, "eval")
         with pytest.raises(ShapeError):
             batchnorm_backward(cache, np.zeros((3, 2)))

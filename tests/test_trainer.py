@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from conftest import small_run_config
 from dppnet import model as mdl, trainer
 from dppnet.config import RunConfig, TrainSchedule
 from dppnet.data import GenConfig, generate_synthetic
-from dppnet.errors import ConfigError
+from dppnet.errors import ConfigError, DataFormatError
 from dppnet.tensor import ParamStore
 from dppnet.trainer import (
     AdamState,
@@ -144,7 +149,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_clip_and_step_match_a_per_tensor_reference(self, precision, monkeypatch):
-        # the per-tensor expressions of the update, byte for byte, over a store
+        # the folded per-tensor expressions of the update and a norm of one
+        # einsum per run of abutting tensors, byte for byte, over a store
         # whose gradients leave out a prefix, a tensor between two updated ones
         # and a non-trainable one, while the first two come back and another
         # drops out, as model.backward leaves out frozen branches
@@ -178,27 +184,129 @@ class TestAdam:
             if t == 7:
                 frozen.add("b.w")
             live = [n for n in shapes if n not in ("stats", *frozen)]
-            # backward's order is not the buffer's; the norm adds in the given order
+            # backward's order is not the buffer's; the norm adds in the buffer's
             grads = {n: (rng.normal(size=shapes[n]) * 10.0 ** (t % 3 - 1)).astype(dt)
                      for n in reversed(live)}
+            runs = []  # the live tensors' names, grouped into runs that abut in the buffer
+            for name in live:
+                if runs and store.span(runs[-1][-1])[1] == store.span(name)[0]:
+                    runs[-1].append(name)
+                else:
+                    runs.append([name])
             sq = 0.0
-            for g in grads.values():
-                sq += float((g * g).sum())
+            for run in runs:
+                r = np.concatenate([grads[n].ravel() for n in run])
+                sq += float(np.einsum("i,i->", r, r))
             ref_norm = math.sqrt(sq)
             ref = grads
             if ref_norm > 1.0:
                 ref = {k: g * (1.0 / ref_norm) for k, g in grads.items()}
             assert adam_step(store, grads, state) == ref_norm
             assert clipped[-1] == {k: g.tobytes() for k, g in ref.items()}
-            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            root = math.sqrt(1.0 - b2 ** t)
+            a_t, eps_hat = lr * root / (1.0 - b1 ** t), eps * root
             for name in live:
                 g = ref[name]
                 m[name] = b1 * m.get(name, np.zeros_like(g)) + (1.0 - b1) * g
                 v[name] = b2 * v.get(name, np.zeros_like(g)) + (1.0 - b2) * (g * g)
-                values[name] = values[name] - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+                values[name] = values[name] - (m[name] / (np.sqrt(v[name]) + eps_hat)) * a_t
             for name in shapes:
                 assert store[name].dtype == dt
                 assert store[name].tobytes() == values[name].tobytes(), (t, name)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_folded_step_matches_the_textbook_step(self, precision):
+        # a_t*m / (sqrt(v)+eps_hat) against lr*(m/c1) / (sqrt(v/c2)+eps) on the
+        # same moments, to 32 units of the dtype's epsilon, relative; gradients
+        # from 1e-8 up, so epsilon weighs in on some steps
+        dt = np.dtype(precision.replace("f", "float"))
+        b1, b2, eps = TrainSchedule.beta1, TrainSchedule.beta2, TrainSchedule.adam_eps
+        rng = np.random.default_rng(9)
+        store = ParamStore(precision)
+        store.add("w", np.zeros(400))
+        state = AdamState(lr=0.05)
+        for t in range(1, 41):
+            store.buffer[...] = 0.0  # so the buffer holds minus the update
+            scale = 10.0 ** rng.integers(-8, 2)
+            adam_step(store, {"w": (rng.normal(size=400) * scale).astype(dt)}, state)
+            m, v = state.vectors[0], state.vectors[1]  # the moments the step used
+            textbook = state.lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            assert textbook.dtype == dt
+            np.testing.assert_allclose(-store["w"], textbook, rtol=32 * np.finfo(dt).eps, atol=0)
+
+    def test_layout_is_built_once_per_name_set_and_buffer(self):
+        # the gradient views and runs are kept across steps and built again
+        # when the adapter unfreezes, when the encoder freezes, and when the
+        # store is another or has reallocated its buffer
+        shapes = {"adapter.w": (3,), "gru.w": (2, 2), "cls.w": (4,)}
+
+        def make(names):
+            store = ParamStore()
+            for name in names:
+                store.add(name, np.zeros(shapes[name]))
+            return store
+
+        store, state, layouts = make(shapes), AdamState(), []
+        for names in [("cls.w", "gru.w")] * 2 + [("cls.w", "gru.w", "adapter.w")] * 2 + [
+                ("cls.w", "adapter.w")] * 2:
+            adam_step(store, {n: np.ones(shapes[n]) for n in names}, state)
+            layouts.append(state.layout[2])
+        assert [a is b for a, b in zip(layouts, layouts[1:])] == [True, False, True, False, True]
+        assert [out.runs for out in layouts[::2]] == [[(0, 8)], [(0, 11)], [(0, 3), (7, 11)]]
+        # the same names and size, declared in another order: their spans move
+        other = make(reversed(shapes))
+        adam_step(other, {"cls.w": np.ones(4), "adapter.w": np.ones(3)}, state)
+        assert state.layout[1] is other.buffer
+        assert state.layout[2].runs == [(0, 4), (8, 11)]
+        assert (other["cls.w"] < 0).all() and (other["adapter.w"] < 0).all()
+        assert (other["gru.w"] == 0).all()
+        other.add("extra", np.zeros(1))
+        with pytest.raises(ConfigError, match="covers 11 .* holds 12"):
+            adam_step(other, {"cls.w": np.ones(4), "adapter.w": np.ones(3)}, state)
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+    def test_wrong_shape_on_a_cached_step_is_refused(self, shape):
+        # (1,) would broadcast into the view, (2, 1) raise numpy's own error
+        store = ParamStore()
+        store.add("w", np.ones(2))
+        store.add("b", np.ones(2))
+        state = AdamState()
+        adam_step(store, {"w": np.ones(2), "b": np.ones(2)}, state)
+        cached, before = state.layout[2], store.buffer.copy()
+        with pytest.raises(ConfigError, match=re.escape(f"gradient shape {shape} != "
+                                                        "parameter 'b' (2,)")):
+            adam_step(store, {"w": np.ones(2), "b": np.ones(shape)}, state)
+        assert state.layout[2] is cached
+        assert store.buffer.tobytes() == before.tobytes() and state.step == 1
+
+    def test_step_does_not_depend_on_the_blas_thread_count(self):
+        # np.dot sums a run this long in another order at two OpenBLAS threads
+        # than at one; the norm and the update must not
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from dppnet.tensor import ParamStore
+            from dppnet.trainer import AdamState, adam_step
+            rng = np.random.default_rng(12)
+            shapes = {"a.w": (256, 200), "a.b": (672,)}  # one run of 51,872 entries
+            store = ParamStore()
+            for name, shape in shapes.items():
+                store.add(name, rng.normal(size=shape))
+            state = AdamState(lr=0.01, clip_threshold=1.0)
+            for _ in range(3):
+                grads = {n: rng.normal(size=s) for n, s in reversed(shapes.items())}
+                print(adam_step(store, grads, state).hex())
+            print(hashlib.sha256(store.buffer.tobytes()).hexdigest())
+        """)
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(trainer.__file__).parents[1])}
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=120)
+            assert (run.returncode, run.stderr) == (0, "")
+            outs.append(run.stdout.split())
+        assert len(outs[0]) == 4 and outs[0] == outs[1]
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_moments_start_at_the_first_updated_entry(self, precision):
@@ -339,6 +447,15 @@ class TestTrainLoop:
         for timing in timings:
             assert set(timing) == {"epoch_s", "examples_per_s"}
             assert timing["epoch_s"] > 0 and timing["examples_per_s"] > 0
+
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_split_is_named(self, tiny_sets, monkeypatch, empty):
+        # refused before a vocabulary or an encoder is built
+        train_ex, val_ex, _ = tiny_sets
+        splits = {"training": train_ex, "validation": val_ex, empty: []}
+        monkeypatch.setattr(trainer, "build_vocab", None)
+        with pytest.raises(DataFormatError, match=f"^the {empty} split is empty$"):
+            train(small_run_config(), splits["training"], splits["validation"])
 
     def test_different_seeds_differ(self, tiny_sets):
         train_ex, val_ex, _ = tiny_sets
