@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .tensor import ParamStore
 
 EPS = 1e-5  # grad_check's step
+TOLERANCE = 1e-5  # grad_check's default tolerance
 FLOOR = 1e-3  # relative_error's denominator floor
 
 
@@ -71,7 +72,7 @@ def grad_check(
     store: ParamStore,
     grads: dict[str, np.ndarray],
     *,
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCE,
     names: list[str] | None = None,
 ) -> GradCheckReport:
     """Check grads, loss_fn's analytic gradients at store, against central differences.

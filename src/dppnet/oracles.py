@@ -1,8 +1,10 @@
 """Finite-difference oracle suite over every differentiable operation.
 
-Each entry builds a tiny random instance, runs the hand-written backward once
-on it, and checks those gradients against central differences of a forward-only
-scalar loss.  The full composed models are checked last at the toy dimensions.
+Each case builder draws a tiny random instance, runs the hand-written backward
+once on it, and returns the grad_check arguments that check those gradients
+against central differences of a forward-only scalar loss: (loss_fn, store,
+grads, tolerance).  The full composed models are checked last at the toy
+dimensions.  check_* is the sweep of one such case.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import encoder as enc
 from . import model as mdl
 from .config import ModelConfig
 from .dynlayer import dyn_backward, dyn_forward
-from .gradcheck import EPS, GradCheckReport, grad_check
+from .gradcheck import EPS, TOLERANCE, GradCheckReport, grad_check
 from .hashing import HashSpec
 from .tensor import (
     BatchNormState,
@@ -57,7 +59,14 @@ def _store(**arrays) -> ParamStore:
     return s
 
 
-def check_activation(kind: str, rng) -> GradCheckReport:
+def _sweep(case) -> GradCheckReport:
+    """grad_check of a drawn case, looked up here at each call: tests and the
+    tracer patch oracles.grad_check."""
+    loss_fn, store, grads, tolerance = case
+    return grad_check(loss_fn, store, grads, tolerance=tolerance)
+
+
+def _activation_case(kind: str, rng):
     x = rng.normal(size=(4, 5))
     c = rng.normal(size=(4, 5))
 
@@ -65,10 +74,10 @@ def check_activation(kind: str, rng) -> GradCheckReport:
         return float((c * activation(kind, s["x"])).sum())
 
     grads = {"x": activation_backward(kind, activation(kind, x), c)}
-    return grad_check(loss_fn, _store(x=x), grads)
+    return loss_fn, _store(x=x), grads, TOLERANCE
 
 
-def check_softmax_xent(rng) -> GradCheckReport:
+def _softmax_xent_case(rng):
     logits = rng.normal(size=(5, 7))
     targets = rng.integers(0, 7, size=5)
 
@@ -76,10 +85,10 @@ def check_softmax_xent(rng) -> GradCheckReport:
         return xent(s["logits"], targets)
 
     grads = {"logits": softmax_xent(logits, targets)[1]}
-    return grad_check(loss_fn, _store(logits=logits), grads)
+    return loss_fn, _store(logits=logits), grads, TOLERANCE
 
 
-def check_batchnorm(rng) -> GradCheckReport:
+def _batchnorm_case(rng):
     x = rng.normal(size=(8, 3)) * 2.0 + 1.0
     c = rng.normal(size=(8, 3))
     arrays = {"x": x, "gamma": rng.uniform(0.5, 1.5, size=3), "beta": rng.normal(size=3)}
@@ -91,10 +100,10 @@ def check_batchnorm(rng) -> GradCheckReport:
         return float((c * y).sum()), cache
 
     grads = dict(zip(("x", "gamma", "beta"), batchnorm_backward(forward(arrays)[1], c)))
-    return grad_check(lambda s: forward(s)[0], _store(**arrays), grads, tolerance=1e-6)
+    return lambda s: forward(s)[0], _store(**arrays), grads, 1e-6
 
 
-def check_embed(rng) -> GradCheckReport:
+def _embed_case(rng):
     table = rng.normal(size=(6, 4))
     tokens = np.array([[1, 3, 1]])  # repeated token: gradients must sum
     c = rng.normal(size=(1, 3, 4))
@@ -103,10 +112,10 @@ def check_embed(rng) -> GradCheckReport:
         return float((c * enc.embed(tokens, s["table"])).sum())
 
     grads = {"table": enc.embed_backward(tokens, c, 6)}
-    return grad_check(loss_fn, _store(table=table), grads)
+    return loss_fn, _store(table=table), grads, TOLERANCE
 
 
-def check_gru(rng, steps: int = 4) -> GradCheckReport:
+def _gru_case(rng, steps: int = 4):
     h, e, b = 5, 4, 3
     arrays = {
         "gru.w_r": rng.normal(size=(h, e)), "gru.w_z": rng.normal(size=(h, e)),
@@ -122,10 +131,10 @@ def check_gru(rng, steps: int = 4) -> GradCheckReport:
 
     dx, grads = enc.gru_encode_backward(forward(arrays)[1], enc.GruParams.from_store(arrays), c)
     grads = {"x": dx, **{f"gru.{k}": g for k, g in grads.items()}}
-    return grad_check(lambda s: forward(s)[0], _store(**arrays), grads)
+    return lambda s: forward(s)[0], _store(**arrays), grads, TOLERANCE
 
 
-def check_dyn_layer(rng) -> GradCheckReport:
+def _dyn_layer_case(rng):
     spec = HashSpec(out_dim=6, in_dim=9, num_candidates=4)
     arrays = {
         "x": rng.normal(size=(3, 9)),
@@ -138,10 +147,10 @@ def check_dyn_layer(rng) -> GradCheckReport:
         return float((c * dyn_forward(s["x"], s["p"], s["b"], spec)).sum())
 
     grads = dict(zip(("x", "p", "b"), dyn_backward(arrays["x"], arrays["p"], c, spec)))
-    return grad_check(loss_fn, _store(**arrays), grads, tolerance=1e-6)
+    return loss_fn, _store(**arrays), grads, 1e-6
 
 
-def check_projection_with_dyn(rng) -> GradCheckReport:
+def _projection_with_dyn_case(rng):
     spec = HashSpec(out_dim=5, in_dim=7, num_candidates=6)
     h = 4
     arrays = {
@@ -159,7 +168,35 @@ def check_projection_with_dyn(rng) -> GradCheckReport:
     dx, dp, db = dyn_backward(arrays["x"], forward(arrays)[1], c, spec)
     dh, dw = enc.predict_candidates_backward(arrays["hq"], arrays["w_p"], dp)
     grads = {"x": dx, "b": db, "hq": dh, "w_p": dw}
-    return grad_check(lambda s: forward(s)[0], _store(**arrays), grads)
+    return lambda s: forward(s)[0], _store(**arrays), grads, TOLERANCE
+
+
+def check_activation(kind: str, rng) -> GradCheckReport:
+    return _sweep(_activation_case(kind, rng))
+
+
+def check_softmax_xent(rng) -> GradCheckReport:
+    return _sweep(_softmax_xent_case(rng))
+
+
+def check_batchnorm(rng) -> GradCheckReport:
+    return _sweep(_batchnorm_case(rng))
+
+
+def check_embed(rng) -> GradCheckReport:
+    return _sweep(_embed_case(rng))
+
+
+def check_gru(rng, steps: int = 4) -> GradCheckReport:
+    return _sweep(_gru_case(rng, steps))
+
+
+def check_dyn_layer(rng) -> GradCheckReport:
+    return _sweep(_dyn_layer_case(rng))
+
+
+def check_projection_with_dyn(rng) -> GradCheckReport:
+    return _sweep(_projection_with_dyn_case(rng))
 
 
 def _relu_inputs(cfg: ModelConfig, store: ParamStore, caches) -> list:
@@ -197,7 +234,7 @@ def _encoder_bytes(store: ParamStore, names) -> bytes:
 
 
 def _full_model_case(variant: str, rng, batch: int = 2):
-    """Draw a full-model instance; returns the (loss_fn, store, grads) to check."""
+    """Draw a full-model instance; returns the (loss_fn, store, grads, tolerance) to check."""
     from dataclasses import replace
 
     cfg = replace(TOY, variant=variant)
@@ -217,29 +254,32 @@ def _full_model_case(variant: str, rng, batch: int = 2):
         caches = mdl.head(cfg, s, feats, encoded[1], "train")
         return xent(caches["logits"], targets)
 
-    return loss_fn, store, grads
+    return loss_fn, store, grads, TOLERANCE
 
 
 def check_full_model(variant: str, rng, batch: int = 2) -> GradCheckReport:
-    return grad_check(*_full_model_case(variant, rng, batch))
+    return _sweep(_full_model_case(variant, rng, batch))
 
 
-def _side_by_side(first, second):
-    """Return (first(), second()), running first in a forked child on two CPUs.
+def _side_by_side(cases: dict, forked: str) -> dict:
+    """Sweep every case; returns {name: report} in cases' order.
 
-    The child pipes back its pickled result, or the exception it raised, and
-    leaves by os._exit, so it never flushes this process's stdio buffers.  It
-    is reaped before this returns, and killed first if second raised.
+    On two CPUs a forked child sweeps cases[forked] while this process sweeps
+    the others in order; on one, or without os.fork, this process sweeps them
+    all in order.  The child pipes back its pickled report, or the exception
+    it raised, and leaves by os._exit, so it never flushes this process's
+    stdio buffers.  It is reaped before this returns, and killed first if a
+    sweep here raised.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
-        return first(), second()
+        return {name: _sweep(case) for name, case in cases.items()}
     read_fd, write_fd = os.pipe()
     if (pid := os.fork()) == 0:
         try:
             os.close(read_fd)
             try:
-                outcome = True, first()
+                outcome = True, _sweep(cases[forked])
             except BaseException as e:
                 outcome = False, e
             with os.fdopen(write_fd, "wb") as pipe:
@@ -249,7 +289,7 @@ def _side_by_side(first, second):
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            here = second()
+            here = {name: _sweep(case) for name, case in cases.items() if name != forked}
             data = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -261,30 +301,32 @@ def _side_by_side(first, second):
     ok, value = pickle.loads(data)
     if not ok:
         raise value
-    return value, here
+    return {name: value if name == forked else here[name] for name in cases}
 
 
 def run_oracle_suite(seed: int = 0) -> dict:
     """Run every oracle once; returns a JSON-ready report.
 
-    The two full-model sweeps run side by side (_side_by_side); the instances
-    are drawn in report order, so the report does not depend on the CPU count.
+    All eleven cases are drawn first, in report order, from the one rng; then
+    _side_by_side sweeps them, model.dppnet in a forked child on two CPUs
+    while this process sweeps the other ten.  The draws do not depend on the
+    CPU count, so neither does the report.
     """
     rng = np.random.default_rng(seed)
-    reports = {
-        "activation.sigmoid": check_activation("sigmoid", rng),
-        "activation.tanh": check_activation("tanh", rng),
-        "activation.relu": check_activation("relu", rng),
-        "softmax_xent": check_softmax_xent(rng),
-        "batchnorm": check_batchnorm(rng),
-        "embed": check_embed(rng),
-        "gru_encode": check_gru(rng),
-        "dyn_layer": check_dyn_layer(rng),
-        "projection+dyn_layer": check_projection_with_dyn(rng),
+    cases = {
+        "activation.sigmoid": _activation_case("sigmoid", rng),
+        "activation.tanh": _activation_case("tanh", rng),
+        "activation.relu": _activation_case("relu", rng),
+        "softmax_xent": _softmax_xent_case(rng),
+        "batchnorm": _batchnorm_case(rng),
+        "embed": _embed_case(rng),
+        "gru_encode": _gru_case(rng),
+        "dyn_layer": _dyn_layer_case(rng),
+        "projection+dyn_layer": _projection_with_dyn_case(rng),
+        "model.dppnet": _full_model_case("dppnet", rng),
+        "model.concat": _full_model_case("concat", rng),
     }
-    dppnet = _full_model_case("dppnet", rng)
-    reports["model.dppnet"], reports["model.concat"] = _side_by_side(
-        lambda: grad_check(*dppnet), lambda: check_full_model("concat", rng))
+    reports = _side_by_side(cases, "model.dppnet")
     modules = [{"module": name, "passed": r.passed, "max_rel_err": r.max_rel_err,
                 "tolerance": r.tolerance} for name, r in reports.items()]
     return {"passed": all(m["passed"] for m in modules), "seed": seed, "modules": modules}

@@ -93,7 +93,8 @@ def _log_softmax_loss(logits: np.ndarray, targets):
         raise ShapeError(f"target index out of range for {c} classes: {targets}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     logprobs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-logprobs[np.arange(b), targets].mean()), logprobs, targets
+    # sum / b is the batch mean numpy's mean() takes, without its Python wrapper
+    return float(-logprobs[np.arange(b), targets].sum() / b), logprobs, targets
 
 
 def xent(logits: np.ndarray, targets) -> float:
@@ -122,12 +123,6 @@ class BatchNormState:
     momentum: float
     eps: float
 
-    @classmethod
-    def create(cls, dim: int, *, momentum: float, eps: float, precision: str = "f64"):
-        dt = np_dtype(precision)
-        return cls(np.ones(dim, dt), np.zeros(dim, dt), np.zeros(dim, dt), np.ones(dim, dt),
-                   momentum, eps)
-
 
 def batchnorm(x: np.ndarray, state: BatchNormState, mode: str):
     """Normalize per feature; returns (y, cache for backward, running).
@@ -135,18 +130,24 @@ def batchnorm(x: np.ndarray, state: BatchNormState, mode: str):
     Train mode uses batch statistics, and running is the (mean, var) pair
     they fold the running statistics into; eval mode uses the running
     statistics, and running is state's own pair.  state is never written.
+    The batch statistics are the sums and divides numpy's mean and var run,
+    taken without their Python wrappers, so they have the same bits: mean is
+    sum / n, var the sum of squares of one centred x - mean, over n, and xhat
+    scales that same centred x.
     """
     if x.ndim != 2:
         raise ShapeError(f"batchnorm expects B x D input, got {x.shape}")
     if x.shape[1] != state.gamma.shape[0]:
         raise ShapeError(f"batchnorm feature dim {x.shape[1]} != state dim {state.gamma.shape[0]}")
     if mode == "train":
-        if x.shape[0] < 2:
-            raise ShapeError(f"batchnorm train mode needs batch >= 2, got {x.shape[0]}")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        n = x.shape[0]
+        if n < 2:
+            raise ShapeError(f"batchnorm train mode needs batch >= 2, got {n}")
+        mean = x.sum(axis=0) / n
+        d = x - mean
+        var = (d * d).sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x - mean) * inv_std
+        xhat = d * inv_std
         m = state.momentum
         running = (
             (1.0 - m) * state.running_mean + m * mean,

@@ -359,19 +359,53 @@ def test_oracle_suite_leaves_no_child(monkeypatch):
     _no_child_left()
 
 
-@pytest.mark.parametrize("side", ["child", "parent"])
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_sweeps_run_after_the_one_fork_in_report_order(monkeypatch, cpus):
+    # every case is drawn first: on two CPUs the child sweeps model.dppnet
+    # while this process sweeps the other ten, none before the fork; on one
+    # this process sweeps all eleven.  Either way in report order.
+    from dppnet import oracles
+
+    events = []  # "fork" and this process's sweeps
+    fork = os.fork
+    check = oracles.grad_check
+
+    def forked():
+        events.append("fork")
+        return fork()
+
+    def spied(loss_fn, store, grads, **kwargs):
+        r = check(loss_fn, store, grads, **kwargs)
+        events.append((os.getpid(), r.passed, r.max_rel_err, r.tolerance))
+        return r
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", forked)
+        m.setattr(oracles, "grad_check", spied)
+        report = oracles.run_oracle_suite(0)
+    here = [(os.getpid(), m["passed"], m["max_rel_err"], m["tolerance"])
+            for m in report["modules"] if cpus == 1 or m["module"] != "model.dppnet"]
+    assert events == ["fork"] * (cpus == 2) + here
+    assert len(here) == 12 - cpus
+    _no_child_left()
+
+
+@pytest.mark.parametrize("side", ["child", "parent", "small"])
 def test_a_failed_sweep_raises_here_and_leaves_no_child(monkeypatch, side):
-    # the child checks model.dppnet while this process checks model.concat,
-    # the one store with mix.* tensors; a child still sweeping when this
-    # process fails is killed, not waited for
+    # the child checks model.dppnet while this process checks the nine
+    # operation oracles (batchnorm's is the one store with a gamma) and then
+    # model.concat, the one store with mix.* tensors; a child still sweeping
+    # when this process fails is killed, not waited for
     from dppnet import oracles
 
     pid = os.getpid()
     check = oracles.grad_check
+    marks = {"parent": "mix.w1", "small": "gamma"}
 
     def failing(loss_fn, store, grads, **kwargs):
         in_child = os.getpid() != pid
-        if side == "child" and in_child or side == "parent" and "mix.w1" in store.names():
+        if side == "child" and in_child or marks.get(side) in store.names():
             raise RuntimeError(f"sweep failed in the {side}")
         if in_child:
             time.sleep(60)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdutil import assert_fd_match, central_diff
 
@@ -22,6 +23,11 @@ from dppnet.tensor import (
 
 
 BN = {"momentum": ModelConfig.bn_momentum, "eps": ModelConfig.bn_eps}  # the model's constants
+
+
+def bn_state(dim):
+    """gamma 1, beta 0, running mean 0 and var 1, at the model's momentum and eps."""
+    return BatchNormState(np.ones(dim), np.zeros(dim), np.zeros(dim), np.ones(dim), **BN)
 
 
 def triple_loop_matmul(a, b):
@@ -142,12 +148,12 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(400, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        state = BatchNormState.create(3, **BN)
+        state = bn_state(3)
         y, _, _ = batchnorm(x, state, "train")
         assert np.abs(y - x).max() <= 1e-4
 
     def test_constant_column_outputs_beta(self):
-        state = BatchNormState.create(2, **BN)
+        state = bn_state(2)
         state.beta = np.array([3.0, -1.0])
         x = np.full((5, 2), 7.0)
         y, _, _ = batchnorm(x, state, "train")
@@ -155,12 +161,12 @@ class TestBatchNorm:
 
     def test_train_needs_two_rows(self):
         with pytest.raises(ShapeError):
-            batchnorm(np.zeros((1, 2)), BatchNormState.create(2, **BN), "train")
+            batchnorm(np.zeros((1, 2)), bn_state(2), "train")
 
     def test_normalized_stats(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(64, 4)) * 10.0 + 3.0  # comfortably non-degenerate columns
-        state = BatchNormState.create(4, **BN)
+        state = bn_state(4)
         _, cache, _ = batchnorm(x, state, "train")
         xhat = cache[0]
         assert np.abs(xhat.mean(axis=0)).max() <= 1e-10
@@ -169,7 +175,7 @@ class TestBatchNorm:
     def test_running_stats_update_with_momentum(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(32, 2)) + 5.0
-        state = BatchNormState.create(2, **BN)
+        state = bn_state(2)
         _, _, (running_mean, running_var) = batchnorm(x, state, "train")
         m = BN["momentum"]
         expect_mean = (1.0 - m) * 0.0 + m * x.mean(axis=0)
@@ -182,7 +188,7 @@ class TestBatchNorm:
         assert np.array_equal(state.running_var, np.ones(2))
 
     def test_eval_uses_running_stats_only(self):
-        state = BatchNormState.create(2, **BN)
+        state = bn_state(2)
         state.running_mean = np.array([1.0, -1.0])
         state.running_var = np.array([4.0, 0.25])
         x = np.array([[1.0, -1.0], [3.0, 0.0]])
@@ -216,15 +222,75 @@ class TestBatchNorm:
     def test_momentum_and_eps_have_no_defaults(self):
         # ModelConfig holds the one value of each
         with pytest.raises(TypeError, match="momentum.*eps"):
-            BatchNormState.create(2)
-        with pytest.raises(TypeError, match="momentum.*eps"):
             BatchNormState(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
 
     def test_eval_cache_rejected_by_backward(self):
-        state = BatchNormState.create(2, **BN)
+        state = bn_state(2)
         _, cache, _ = batchnorm(np.zeros((3, 2)), state, "eval")
         with pytest.raises(ShapeError):
             batchnorm_backward(cache, np.zeros((3, 2)))
+
+
+def numpy_batchnorm_train(x, state):
+    # train-mode batchnorm through numpy's mean and var
+    mean, var = x.mean(axis=0), x.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat = (x - mean) * inv_std
+    m = state.momentum
+    running = ((1.0 - m) * state.running_mean + m * mean,
+               (1.0 - m) * state.running_var + m * var)
+    return state.gamma * xhat + state.beta, (xhat, inv_std, state.gamma), running
+
+
+def numpy_xent(logits, targets):
+    # the mean cross-entropy through numpy's mean
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logprobs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-logprobs[np.arange(len(logits)), targets].mean())
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+statistics_inputs = st.fixed_dictionaries({
+    "dtype": st.sampled_from([np.float64, np.float32]),
+    "batch": st.integers(2, 64),
+    "dim": st.integers(1, 16),
+    "offset": st.floats(-1e6, 1e6),
+    "scale": st.sampled_from([1e-3, 1.0, 10.0, 1e3]),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+class TestStatisticsMatchNumpy:
+    # mean, variance and the batch-mean loss are the sums and divides numpy's
+    # mean/var/.mean() run, so every output keeps numpy's bits
+
+    @settings(max_examples=300, deadline=None)
+    @given(statistics_inputs)
+    def test_batchnorm_train_matches_numpy_mean_and_var(self, draw):
+        dt, b, d = draw["dtype"], draw["batch"], draw["dim"]
+        rng = np.random.default_rng(draw["seed"])
+        x = (rng.normal(size=(b, d)) * draw["scale"] + draw["offset"]).astype(dt)
+        state = BatchNormState(*(rng.normal(size=(4, d)).astype(dt) ** 2), **BN)
+        y, cache, running = batchnorm(x, state, "train")
+        want_y, want_cache, want_running = numpy_batchnorm_train(x, state)
+        assert same_bytes(y, want_y)
+        assert all(same_bytes(g, w) for g, w in zip(cache, want_cache))
+        assert all(same_bytes(g, w) for g, w in zip(running, want_running))
+
+    @settings(max_examples=300, deadline=None)
+    @given(statistics_inputs)
+    def test_xent_losses_match_numpy_mean(self, draw):
+        dt, b, c = draw["dtype"], draw["batch"], draw["dim"]
+        rng = np.random.default_rng(draw["seed"])
+        logits = (rng.normal(size=(b, c)) * draw["scale"] + draw["offset"]).astype(dt)
+        targets = rng.integers(0, c, size=b)
+        want = numpy_xent(logits, targets)
+        assert xent(logits, targets).hex() == want.hex()
+        assert softmax_xent(logits, targets)[0].hex() == want.hex()
 
 
 class TestParamStore:
